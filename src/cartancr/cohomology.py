@@ -14,6 +14,7 @@ All of it is exact.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import liealg, linalg
@@ -35,10 +36,6 @@ PATTERN_VARS = {
         (4, "13"), (5, "13"), (6, "13"), (7, "13"),
         (8, "23"), (9, "23")),
 }
-
-
-def hat_duality() -> dict:
-    return {"sigma": SIGMA, "eps": EPS}
 
 
 class CochainMap:
@@ -97,12 +94,9 @@ class SpencerDifferential:
     def __init__(self, cochain: CochainMap):
         self.cochain = cochain
         self.basis = liealg.build_basis(cochain.basis_kind)
-        self._cache = {}
 
     def value(self, i: int, j: int) -> list[AlgNum]:
         """del A(x_i, x_j) = [x_i, A x_j] - [x_j, A x_i] - A(pi [x_i, x_j])."""
-        if (i, j) in self._cache:
-            return self._cache[(i, j)]
         if i == j:
             return [ZERO] * liealg.DIM
         basis, a = self.basis, self.cochain
@@ -115,39 +109,37 @@ class SpencerDifferential:
             raw = basis.structure_constants()[(j, i)]
             inner = [-x for x in raw]
         term3 = a.apply(list(inner))
-        out = [t1 - t2 - t3 for t1, t2, t3 in zip(term1, term2, term3)]
-        self._cache[(i, j)] = out
-        return out
-
-
-def spencer_differential(cochain: CochainMap) -> SpencerDifferential:
-    return SpencerDifferential(cochain)
+        return [t1 - t2 - t3 for t1, t2, t3 in zip(term1, term2, term3)]
 
 
 _H_DOMAIN = tuple(range(5, 10))     # f6..f10, the non-negative dual side
 _HAT_MINUS = tuple(SIGMA[b] for b in range(3))   # images of f1, f2, f3
 
 
-def _pairing_rows(shift: int):
-    """One row per elementary test cochain A^a_b (b over f6..f10), columns
-    indexed by the pattern variables of the given shifting degree."""
-    cols = PATTERN_VARS[shift]
+@functools.cache
+def _pairing_rows() -> tuple[list, dict]:
+    """Row labels and, per shifting degree, the pairing rows: one row per
+    elementary test cochain A^a_b (b over f6..f10), columns indexed by the
+    pattern variables of that degree.  The del A values do not depend on
+    the degree, so all three are built in one pass on first use."""
     labels = []
-    rows = []
+    rows = {shift: [] for shift in PATTERN_VARS}
     for b in _H_DOMAIN:
         for a in range(liealg.DIM):
-            test = CochainMap("f", _H_DOMAIN, {b: {a: ONE}})
-            d_test = spencer_differential(test)
+            d_test = SpencerDifferential(CochainMap("f", _H_DOMAIN, {b: {a: ONE}}))
             vals = {
                 pair: d_test.value(_HAT_MINUS[i], _HAT_MINUS[j])
                 for pair, (i, j) in LEG_PAIRS.items()
             }
-            row = []
-            for alpha, pair in cols:
-                comp = vals[pair][SIGMA[alpha - 1]]
-                row.append(comp if EPS[alpha - 1] == 1 else -comp)
+            for shift, cols in PATTERN_VARS.items():
+                row = []
+                for alpha, pair in cols:
+                    comp = vals[pair][SIGMA[alpha - 1]]
+                    # zeros share one object: most entries are zero
+                    row.append(ZERO if comp.is_zero()
+                               else comp if EPS[alpha - 1] == 1 else -comp)
+                rows[shift].append(row)
             labels.append((a + 1, b + 1))
-            rows.append(row)
     return labels, rows
 
 
@@ -160,7 +152,8 @@ def codifferential_kernel(shift: int) -> dict:
     """
     if shift not in PATTERN_VARS:
         raise ValueError(f"no torsion candidates at shifting degree {shift}")
-    labels, rows = _pairing_rows(shift)
+    labels, all_rows = _pairing_rows()
+    labels, rows = list(labels), [row[:] for row in all_rows[shift]]
     null = linalg.nullspace(rows)
     cols = PATTERN_VARS[shift]
     vectors = [
@@ -344,7 +337,7 @@ def l1_generators() -> list[CochainMap]:
 def l1_boundary_components(gen: CochainMap):
     """The three tracked components of del B: (del B)^{-2}_{-2,-1(10)} and
     (del B)^{+-1}_{-1(10),-1(01)}."""
-    db = spencer_differential(gen)
+    db = SpencerDifferential(gen)
     c1 = db.value(0, 1)[0]
     v = db.value(1, 2)
     return c1, v[1], v[2]

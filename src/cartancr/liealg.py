@@ -182,16 +182,14 @@ def build_basis(kind: str) -> Basis:
 def grading_decomposition() -> dict:
     """Degrees, grading element and distinguished subspace index sets.
 
-    Verifies that every standard basis element is an ad-Z eigenvector with
-    the expected eigenvalue before returning.
+    Verifies that ad Z, read off the f-basis structure constants, is
+    diagonal with the degrees on the diagonal before returning.
     """
-    basis = build_basis("standard")
-    z = basis.elements[Z_INDEX]
-    for idx, (x, k) in enumerate(zip(basis.elements, DEGREES)):
-        lhs = commutator(z, x)
-        want = mat_scale(AlgNum.of(k), x)
-        if not linalg.mat_eq(lhs, want):
-            raise ArithmeticError(f"basis element {idx} is not an ad-Z eigenvector")
+    ad_z = adjoint_matrix(build_basis("standard").elements[Z_INDEX])
+    for a in range(DIM):
+        for b in range(DIM):
+            if ad_z[a][b] != (DEGREES[b] if a == b else 0):
+                raise ArithmeticError(f"basis element {b} is not an ad-Z eigenvector")
     return {
         "degrees": DEGREES,
         "z_index": Z_INDEX,
@@ -203,30 +201,41 @@ def grading_decomposition() -> dict:
     }
 
 
+def _trace_of_product(a, b) -> AlgNum:
+    return sum((a[i][k] * b[k][i] for i in range(DIM) for k in range(DIM)
+                if not a[i][k].is_zero() and not b[k][i].is_zero()), ZERO)
+
+
 def adjoint_matrix(x_matrix, basis: Basis | None = None):
-    """ad_X as a 10x10 matrix in the given basis (f basis by default)."""
+    """ad_X as a 10x10 matrix in the given basis (f basis by default):
+    (ad X)^a_b = sum_k x_k c^a_{kb}, with x the coordinates of X."""
     basis = basis or build_basis("f")
-    cols = [basis.expand(commutator(x_matrix, e)) for e in basis.elements]
-    return [[cols[j][i] for j in range(DIM)] for i in range(DIM)]
+    out = linalg.zeros(DIM, DIM)
+    for k, xk in enumerate(basis.expand(x_matrix)):
+        if xk.is_zero():
+            continue
+        for a in range(DIM):
+            for b in range(DIM):
+                c = basis.c(a, k, b)
+                if not c.is_zero():
+                    out[a][b] = out[a][b] + xk * c
+    return out
 
 
 def killing_form(x_matrix, y_matrix) -> AlgNum:
     """trace(ad X o ad Y), exact and basis-independent."""
-    ax = adjoint_matrix(x_matrix)
-    ay = adjoint_matrix(y_matrix)
-    prod = linalg.mat_mul(ax, ay)
-    return sum((prod[i][i] for i in range(DIM)), ZERO)
+    return _trace_of_product(adjoint_matrix(x_matrix), adjoint_matrix(y_matrix))
 
 
 def killing_matrix(basis: Basis):
-    ads = [adjoint_matrix(e, build_basis("f")) for e in basis.elements]
+    """K(x_a, x_b) = trace(ad x_a o ad x_b), with (ad x_k)^a_b = c^a_{kb}
+    read off the basis's own structure constants."""
+    ads = [[[basis.c(a, k, b) for b in range(DIM)] for a in range(DIM)]
+           for k in range(DIM)]
     out = linalg.zeros(DIM, DIM)
     for a in range(DIM):
         for b in range(a, DIM):
-            prod = linalg.mat_mul(ads[a], ads[b])
-            val = sum((prod[i][i] for i in range(DIM)), ZERO)
-            out[a][b] = val
-            out[b][a] = val
+            out[a][b] = out[b][a] = _trace_of_product(ads[a], ads[b])
     return out
 
 

@@ -14,13 +14,6 @@ def zeros(rows: int, cols: int) -> list[list[AlgNum]]:
     return [[ZERO for _ in range(cols)] for _ in range(rows)]
 
 
-def identity(n: int) -> list[list[AlgNum]]:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
-
-
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
     out = zeros(rows, cols)
@@ -108,15 +101,6 @@ def solve(matrix, rhs) -> list[AlgNum]:
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x
-
-
-def inverse(matrix) -> list[list[AlgNum]]:
-    n = len(matrix)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(matrix)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in red]
 
 
 def determinant(matrix) -> AlgNum:

@@ -175,6 +175,9 @@ class AlgNum:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it must hash like it
+        if self.is_rational():
+            return hash(self.re[0])
         return hash((self.re, self.im))
 
     # -- embeddings ---------------------------------------------------
@@ -247,12 +250,16 @@ class AlgNum:
 
     @staticmethod
     def deserialize(text: str) -> "AlgNum":
+        """Inverse of serialize; malformed text raises ValueError."""
         text = text.replace(" ", "")
-        im = (0, 0, 0, 0)
-        if "+i*(" in text:
-            text, im_s = text.split("+i*(")
-            im = _parse_radical(im_s.rstrip(")"))
-        return AlgNum(_parse_radical(text), im)
+        re_s, sep, im_s = text.partition("+i*(")
+        if sep and not im_s.endswith(")"):
+            raise ValueError(f"malformed AlgNum text: {text!r}")
+        try:
+            im = _parse_radical(im_s[:-1]) if sep else (0, 0, 0, 0)
+            return AlgNum(_parse_radical(re_s), im)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"malformed AlgNum text: {text!r}") from exc
 
     def __repr__(self):
         return f"AlgNum({self.serialize()})"
@@ -277,6 +284,8 @@ def _parse_radical(text: str) -> tuple:
             raise ValueError(f"malformed AlgNum text: {text!r}")
         if "*" in term:
             coef, lab = term.split("*")
+            if lab not in ("r2", "r3", "r6"):
+                raise ValueError(f"malformed AlgNum text: {text!r}")
             coords[index[lab]] += Fraction(coef)
         elif term.lstrip("+-") in ("r2", "r3", "r6"):
             sign = -1 if term.startswith("-") else 1
@@ -317,22 +326,3 @@ SQRT2 = AlgNum.sqrt2()
 SQRT3 = AlgNum.sqrt3()
 SQRT6 = AlgNum.sqrt6()
 HALF = AlgNum.of(Fraction(1, 2))
-
-
-def nf_arith(op: str, a: AlgNum, b: AlgNum) -> AlgNum:
-    """Dispatch wrapper used by the CLI report layer."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def nf_inv(a: AlgNum) -> AlgNum:
-    return a.inv()
-
-
-def nf_conj(a: AlgNum) -> AlgNum:
-    return a.conj()

@@ -1,5 +1,6 @@
 """CLI report determinism, exit codes, artifact emission."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -7,11 +8,21 @@ import pytest
 
 from cartancr import cli
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
+
+# the benchmark's golden digests of the report and of every emitted artifact
+_spec = importlib.util.spec_from_file_location("golden", ROOT / "bench" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
-def test_all_suites_pass():
-    report = cli.run_suite("all", FIXTURES)
+@pytest.fixture(scope="module")
+def report():
+    return cli.run_suite("all", FIXTURES)
+
+
+def test_all_suites_pass(report):
     failed = [c["id"] for c in report["checks"] if not c["passed"]]
     assert report["passed"], failed
     assert report["schema"] == cli.SCHEMA
@@ -19,20 +30,26 @@ def test_all_suites_pass():
     assert report["counts"]["total"] == len(report["checks"]) == 30
 
 
-def test_checks_are_sorted_by_id():
-    report = cli.run_suite("all", FIXTURES)
+def test_checks_are_sorted_by_id(report):
     ids = [c["id"] for c in report["checks"]]
     assert ids == sorted(ids)
     assert len(ids) == len(set(ids))
 
 
-def test_single_suite_subsets_all():
-    full = {c["id"] for c in cli.run_suite("all", FIXTURES)["checks"]}
+def test_single_suite_subsets_all(report):
+    full = {c["id"] for c in report["checks"]}
     for name in cli.SUITES:
         if name == "all":
             continue
         sub = {c["id"] for c in cli.run_suite(name, FIXTURES)["checks"]}
         assert sub and sub <= full
+
+
+def test_report_and_artifacts_match_goldens(report):
+    assert golden.suite_ok(report)
+    for kind, fmt in golden.EMITS:
+        text = cli.emit_artifacts(kind, fmt, FIXTURES)
+        assert golden.emit_ok(kind, fmt, text), (kind, fmt)
 
 
 def test_json_report_is_byte_identical(capsys):

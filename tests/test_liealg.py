@@ -196,14 +196,19 @@ def test_killing_matrix_on_f_basis():
             assert km[i][j] == expect
 
 
-def test_killing_is_three_times_trace_form():
-    basis = build_basis("standard")
+def _trace3(x, y):
+    # 3 tr(xy), the Killing form of so(3,2) from the 5x5 matrices alone
+    prod = linalg.mat_mul(x, y)
+    return AlgNum.of(3) * sum((prod[i][i] for i in range(5)), ZERO)
+
+
+@pytest.mark.parametrize("kind", ["standard", "cr", "f"])
+def test_killing_is_three_times_trace_form(kind):
+    basis = build_basis(kind)
     km = killing_matrix(basis)
     for a in range(DIM):
         for b in range(DIM):
-            prod = linalg.mat_mul(basis.elements[a], basis.elements[b])
-            tr = sum((prod[i][i] for i in range(5)), ZERO)
-            assert km[a][b] == AlgNum.of(3) * tr
+            assert km[a][b] == _trace3(basis.elements[a], basis.elements[b])
 
 
 def test_change_of_basis_witnesses():
@@ -252,7 +257,7 @@ def _combo(coeffs):
 @settings(max_examples=15, deadline=None)
 def test_killing_symmetry_and_invariance(u, v, w):
     x, y, z = _combo(u), _combo(v), _combo(w)
-    assert killing_form(x, y) == killing_form(y, x)
+    assert killing_form(x, y) == killing_form(y, x) == _trace3(x, y)
     # ad-invariance: K([x,y],z) + K(y,[x,z]) = 0
     assert killing_form(commutator(x, y), z) + killing_form(y, commutator(x, z)) == ZERO
 
@@ -262,6 +267,9 @@ def test_killing_symmetry_and_invariance(u, v, w):
 def test_adjoint_matrix_preserves_membership(u):
     x = _combo(u)
     assert membership_so32(x)
+    f = build_basis("f")
     ad = adjoint_matrix(x)
-    # columns of ad x are bracket coordinates, so degree blocks shift by deg x
     assert len(ad) == DIM and len(ad[0]) == DIM
+    # column b of ad x holds the coordinates of the matrix commutator [x, f_b]
+    for b in range(DIM):
+        assert [row[b] for row in ad] == f.expand(commutator(x, f.elements[b]))

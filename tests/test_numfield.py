@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cartancr.numfield import (AlgNum, ZERO, ONE, I, HALF, SQRT2, SQRT3,
-                               SQRT6, nf_arith, nf_conj, nf_inv)
+from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF, SQRT2, SQRT3, SQRT6
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 coords = st.tuples(fractions, fractions, fractions, fractions)
@@ -85,15 +84,22 @@ def test_division():
     assert (a / b) * b == a
 
 
-def test_wrappers():
-    a, b = SQRT2 + I, SQRT3 - ONE
-    assert nf_arith("add", a, b) == a + b
-    assert nf_arith("sub", a, b) == a - b
-    assert nf_arith("mul", a, b) == a * b
-    assert nf_conj(a) == a.conj()
-    assert nf_inv(b) * b == ONE
+@given(st.one_of(fractions, st.integers(min_value=-10**6, max_value=10**6)))
+def test_rational_elements_hash_like_their_value(q):
+    assert AlgNum.of(q) == q
+    assert hash(AlgNum.of(q)) == hash(q)
+
+
+def test_rational_element_and_int_are_one_set_member():
+    assert len({AlgNum.of(1), 1}) == 1
+    assert len({AlgNum.of(Fraction(1, 2)), Fraction(1, 2), HALF}) == 1
+
+
+@pytest.mark.parametrize("text", ["1*r7", "i*(1)", "1+i*(2", "1*", "r5",
+                                  "1/0", "1+i*(2))", "1+i*(2)+i*(3)"])
+def test_deserialize_rejects_malformed_text(text):
     with pytest.raises(ValueError):
-        nf_arith("pow", a, b)
+        AlgNum.deserialize(text)
 
 
 def test_known_serializations():
