@@ -77,8 +77,13 @@ def bracket_coords(basis: liealg.Basis, u, v) -> list[AlgNum]:
     """Bracket of two coordinate vectors via the structure constants."""
     out = [ZERO] * liealg.DIM
     sc = basis.structure_constants()
+    u_nz = [not x.is_zero() for x in u]
+    v_nz = [not x.is_zero() for x in v]
     for i in range(liealg.DIM):
         for j in range(i + 1, liealg.DIM):
+            # unit and sparse inputs: most pairs have a zero in both products
+            if not (u_nz[i] and v_nz[j] or u_nz[j] and v_nz[i]):
+                continue
             w = u[i] * v[j] - u[j] * v[i]
             if w.is_zero():
                 continue

@@ -130,18 +130,38 @@ class Basis:
         self.kind = kind
         self.names = tuple(names)
         self.elements = elements
-        self._expansion_rows = None
+        self._expansion = None
         self._sc = None
 
     def _vectorize(self, m):
         return [m[i][j] for i in range(5) for j in range(5)]
 
+    def _build_expansion(self):
+        """The 25x10 expansion system A (column k is element k), pivot rows
+        P with A[P] invertible, and A[P]^-1, all from one rref of [A^T | 1]:
+        the row operations that turn the pivot columns A[P]^T of A^T into
+        the identity turn the appended identity into (A[P]^T)^-1."""
+        cols = [self._vectorize(e) for e in self.elements]
+        aug = [col + [ONE if k == j else ZERO for k in range(DIM)]
+               for j, col in enumerate(cols)]
+        red, pivots = linalg.rref(aug)
+        if pivots[-1] >= 25:
+            raise ValueError(f"{self.kind} basis elements are linearly dependent")
+        inverse = [[red[r][25 + k] for r in range(DIM)] for k in range(DIM)]
+        return linalg.transpose(cols), pivots, inverse
+
     def expand(self, matrix) -> list[AlgNum]:
-        """Coefficient vector of a matrix in this basis (exact; raises off-span)."""
-        if self._expansion_rows is None:
-            cols = [self._vectorize(e) for e in self.elements]
-            self._expansion_rows = [[cols[j][i] for j in range(DIM)] for i in range(25)]
-        return linalg.solve(self._expansion_rows, self._vectorize(matrix))
+        """Coefficient vector of a matrix in this basis (exact; raises
+        ValueError off-span).  The coefficients come from the 10 pivot
+        entries through a cached inverse, then must reproduce all 25."""
+        if self._expansion is None:
+            self._expansion = self._build_expansion()
+        rows, pivots, inverse = self._expansion
+        target = self._vectorize(matrix)
+        x = linalg.mat_vec(inverse, [target[p] for p in pivots])
+        if linalg.mat_vec(rows, x) != target:
+            raise ValueError(f"matrix is not in the span of the {self.kind} basis")
+        return x
 
     def structure_constants(self):
         """c[(b, c)] -> 10-vector of components of [x_b, x_c], for b < c."""

@@ -29,8 +29,9 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum((a[i][j] * v[j] for j in range(len(v)) if not a[i][j].is_zero()),
-                ZERO) for i in range(len(a))]
+    nonzero = [j for j, x in enumerate(v) if not x.is_zero()]
+    return [sum((row[j] * v[j] for j in nonzero if not row[j].is_zero()), ZERO)
+            for row in a]
 
 
 def transpose(a):
@@ -86,21 +87,6 @@ def nullspace(matrix) -> list[list[AlgNum]]:
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def solve(matrix, rhs) -> list[AlgNum]:
-    """Unique solution of matrix @ x = rhs; raises on inconsistent/underdetermined."""
-    cols = len(matrix[0])
-    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < cols:
-        raise ValueError("underdetermined linear system")
-    x = [ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
 
 
 def determinant(matrix) -> AlgNum:

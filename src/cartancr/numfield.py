@@ -10,6 +10,7 @@ the radical basis (1, sqrt2, sqrt3, sqrt6).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg
 from typing import Union
 
 # radical basis indices
@@ -40,16 +41,32 @@ class AlgNum:
 
     Immutable.  `re` and `im` are 4-tuples of Fractions giving the
     coordinates over (1, sqrt2, sqrt3, sqrt6); the representation is
-    unique, so equality and zero tests are coordinate-wise.
+    unique, so equality and zero tests are coordinate-wise.  Coordinates
+    must be exact rationals (int or Fraction); anything else raises
+    TypeError.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=(0, 0, 0, 0), im=(0, 0, 0, 0)):
-        object.__setattr__(self, "re", tuple(Fraction(x) for x in re))
-        object.__setattr__(self, "im", tuple(Fraction(x) for x in im))
-        if len(self.re) != 4 or len(self.im) != 4:
+        re, im = tuple(re), tuple(im)
+        if len(re) != 4 or len(im) != 4:
             raise ValueError("AlgNum needs 4 real and 4 imaginary coordinates")
+        for x in re + im:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"AlgNum coordinates must be int or Fraction, "
+                                f"not {type(x).__name__}")
+        object.__setattr__(self, "re", tuple(map(Fraction, re)))
+        object.__setattr__(self, "im", tuple(map(Fraction, im)))
+
+    @staticmethod
+    def _raw(re: tuple, im: tuple) -> "AlgNum":
+        """Trusted constructor for the ring operations: `re` and `im` must
+        already be 4-tuples of Fraction, and are stored as they are."""
+        x = object.__new__(AlgNum)
+        object.__setattr__(x, "re", re)
+        object.__setattr__(x, "im", im)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgNum is immutable")
@@ -81,7 +98,7 @@ class AlgNum:
 
     # -- predicates --------------------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.re) and all(c == 0 for c in self.im)
+        return not any(self.re) and not any(self.im)
 
     def is_rational(self) -> bool:
         return (self.re[1:] == (0, 0, 0) and self.im == (0, 0, 0, 0))
@@ -99,13 +116,13 @@ class AlgNum:
         if not isinstance(other, (AlgNum, int, Fraction)):
             return NotImplemented
         other = _coerce(other)
-        return AlgNum(tuple(a + b for a, b in zip(self.re, other.re)),
-                      tuple(a + b for a, b in zip(self.im, other.im)))
+        return AlgNum._raw(tuple(map(add, self.re, other.re)),
+                           tuple(map(add, self.im, other.im)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlgNum":
-        return AlgNum(tuple(-a for a in self.re), tuple(-a for a in self.im))
+        return AlgNum._raw(tuple(map(neg, self.re)), tuple(map(neg, self.im)))
 
     def __sub__(self, other) -> "AlgNum":
         if not isinstance(other, (AlgNum, int, Fraction)):
@@ -132,13 +149,13 @@ class AlgNum:
                 fac, k = _rad_mul(i, j)
                 re[k] += fac * (a_re * b_re - a_im * b_im)
                 im[k] += fac * (a_re * b_im + a_im * b_re)
-        return AlgNum(re, im)
+        return AlgNum._raw(tuple(re), tuple(im))
 
     __rmul__ = __mul__
 
     def conj(self) -> "AlgNum":
         """Complex conjugation (negates the imaginary coordinates)."""
-        return AlgNum(self.re, tuple(-a for a in self.im))
+        return AlgNum._raw(self.re, tuple(map(neg, self.im)))
 
     def inv(self) -> "AlgNum":
         """Multiplicative inverse by iterated conjugation over the tower.
@@ -267,7 +284,8 @@ class AlgNum:
 
 def _parse_radical(text: str) -> tuple:
     coords = [Fraction(0)] * 4
-    if text in ("", "0"):
+    # serialize writes a zero part as "0"; an empty part is malformed
+    if text == "0":
         return tuple(coords)
     # split into signed terms
     terms, cur = [], ""
@@ -309,13 +327,13 @@ def _flip_i(x: AlgNum) -> AlgNum:
 
 def _flip_r2(x: AlgNum) -> AlgNum:
     # sqrt2 -> -sqrt2 also flips sqrt6 = sqrt2*sqrt3
-    return AlgNum((x.re[0], -x.re[1], x.re[2], -x.re[3]),
-                  (x.im[0], -x.im[1], x.im[2], -x.im[3]))
+    return AlgNum._raw((x.re[0], -x.re[1], x.re[2], -x.re[3]),
+                       (x.im[0], -x.im[1], x.im[2], -x.im[3]))
 
 
 def _flip_r3(x: AlgNum) -> AlgNum:
-    return AlgNum((x.re[0], x.re[1], -x.re[2], -x.re[3]),
-                  (x.im[0], x.im[1], -x.im[2], -x.im[3]))
+    return AlgNum._raw((x.re[0], x.re[1], -x.re[2], -x.re[3]),
+                       (x.im[0], x.im[1], -x.im[2], -x.im[3]))
 
 
 # convenient module-level constants

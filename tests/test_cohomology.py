@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartancr import liealg, linalg
 from cartancr.cohomology import (EPS, LEG_PAIRS, PATTERN_VARS, SIGMA,
@@ -74,6 +75,26 @@ def test_bracket_coords_agrees_with_structure_constants():
     got = bracket_coords(basis, u, v)
     sc = basis.structure_constants()[(1, 7)]
     assert got == [AlgNum.of(2) * x for x in sc]
+
+
+# zero and nonzero entries, so both sparse and dense vectors are drawn
+_ENTRIES = (ZERO, ONE, -HALF, I, SQRT2, AlgNum.sqrt6(Fraction(1, 6)),
+            AlgNum((1, -2, 0, Fraction(1, 3)), (0, 1, Fraction(-1, 2), 0)))
+coordinate_vectors = st.lists(st.sampled_from(_ENTRIES), min_size=10, max_size=10)
+
+
+@pytest.mark.parametrize("kind", ["standard", "cr", "f"])
+@given(u=coordinate_vectors, v=coordinate_vectors)
+@settings(deadline=None)
+def test_bracket_coords_matches_all_pairs_sum(kind, u, v):
+    basis = liealg.build_basis(kind)
+    want = [ZERO] * liealg.DIM
+    for (i, j), column in basis.structure_constants().items():
+        w = u[i] * v[j] - u[j] * v[i]
+        for a, c in enumerate(column):
+            if not c.is_zero():
+                want[a] = want[a] + w * c
+    assert bracket_coords(basis, u, v) == want
 
 
 def test_kernel_dimensions_by_shifting_degree():

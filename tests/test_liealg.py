@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cartancr import linalg
 from cartancr.liealg import (CAL_I, CONGRUENCE_S, CR_CONJ, DEGREES, DIM, I32,
-                             Z_INDEX, adjoint_matrix, build_basis,
+                             Z_INDEX, Basis, adjoint_matrix, build_basis,
                              change_of_basis, commutator, grading_decomposition,
                              killing_form, killing_matrix, mat_add, mat_conj,
                              mat_scale, membership_so32)
@@ -237,8 +237,67 @@ def test_expand_rejects_off_span():
     basis = build_basis("standard")
     bad = linalg.zeros(5, 5)
     bad[0][0] = ONE
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         basis.expand(bad)
+
+
+@pytest.mark.parametrize("kind", ["standard", "cr", "f"])
+def test_expand_checks_every_entry(kind):
+    # no single-entry matrix lies in so(3,2), so changing any one of the 25
+    # entries of a member, pivot entry or not, must leave the span
+    basis = build_basis(kind)
+    x = basis.elements[3]
+    for i in range(5):
+        for j in range(5):
+            bad = [row[:] for row in x]
+            bad[i][j] = bad[i][j] + ONE
+            with pytest.raises(ValueError):
+                basis.expand(bad)
+
+
+def test_expand_rejects_dependent_basis():
+    e = build_basis("standard").elements
+    with pytest.raises(ValueError):
+        Basis("dependent", [str(k) for k in range(DIM)], e[:DIM - 1] + e[:1]).expand(e[0])
+
+
+def test_expand_solves_once_per_basis(monkeypatch):
+    # the first expand picks the pivot rows and inverts that block with one
+    # rref; every later call is a product with the cached inverse
+    cr = build_basis("cr")
+    table = cr.structure_constants()
+    fresh = Basis("cr", cr.names, cr.elements)
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(1) or rref(m))
+    assert fresh.expand(cr.elements[0]) == [ONE] + [ZERO] * (DIM - 1)
+    assert len(calls) == 1
+    for k in range(1, DIM):
+        assert fresh.expand(commutator(cr.elements[0], cr.elements[k])) == list(table[(0, k)])
+        assert fresh.expand(cr.elements[k]) == [ONE if b == k else ZERO
+                                               for b in range(DIM)]
+    assert len(calls) == 1
+
+
+def _dense_algnums(coords):
+    # ten field elements with all eight rational coordinates nonzero
+    return [AlgNum(coords[k:k + 4], coords[k + 4:k + 8]) for k in range(0, 8 * DIM, 8)]
+
+
+_NONZERO_RATIONALS = [Fraction(n, d) for n in range(-12, 13) if n for d in range(1, 7)]
+dense_coefficients = st.lists(st.sampled_from(_NONZERO_RATIONALS), min_size=8 * DIM,
+                              max_size=8 * DIM).map(_dense_algnums)
+
+
+@pytest.mark.parametrize("kind", ["standard", "cr", "f"])
+@given(coeffs=dense_coefficients)
+@settings(deadline=None)
+def test_expand_round_trips_dense_combinations(kind, coeffs):
+    basis = build_basis(kind)
+    x = linalg.zeros(5, 5)
+    for c, e in zip(coeffs, basis.elements):
+        x = mat_add(x, mat_scale(c, e))
+    assert basis.expand(x) == coeffs
 
 
 small = st.integers(min_value=-3, max_value=3)

@@ -1,10 +1,11 @@
 """Field arithmetic: axioms, the float embedding oracle, serialization."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF, SQRT2, SQRT3, SQRT6
 
@@ -46,6 +47,52 @@ def test_float_embedding(a, b):
     scale = max(1.0, abs(za), abs(zb))
     assert abs((a + b).to_complex() - (za + zb)) < 1e-12 * scale
     assert abs((a * b).to_complex() - (za * zb)) < 1e-12 * scale * scale
+
+
+_RADICALS = (1.0, math.sqrt(2), math.sqrt(3), math.sqrt(6))
+
+
+def _size(x):
+    # sum of |coordinate| * radical: bounds the rounding error of to_complex
+    return sum(abs(float(c)) * r for c, r in zip(x.re + x.im, _RADICALS * 2))
+
+
+def _fraction_coordinates(x):
+    return (len(x.re) == len(x.im) == 4
+            and all(isinstance(c, Fraction) for c in x.re + x.im))
+
+
+@given(algnums, nonzero, st.one_of(fractions, st.integers(-10, 10)))
+@example(ONE, I, 0)     # sparse operands leave most product coordinates untouched
+def test_ring_operations_return_fraction_coordinates(a, b, q):
+    # the ring operations build results with the trusted constructor, which
+    # stores its tuples as given: every coordinate must already be a Fraction
+    za, zb = a.to_complex(), b.to_complex()
+    tol = 1e-12 * (1.0 + _size(a)) * (1.0 + _size(b)) * (1.0 + abs(q))
+    expected = {
+        "a + b": (a + b, za + zb), "a - b": (a - b, za - zb), "-a": (-a, -za),
+        "a * b": (a * b, za * zb), "conj a": (a.conj(), za.conjugate()),
+        "a + q": (a + q, za + q), "q + a": (q + a, q + za),
+        "q - a": (q - a, q - za), "q * a": (q * a, q * za),
+    }
+    for name, (got, want) in expected.items():
+        assert _fraction_coordinates(got), name
+        assert abs(got.to_complex() - want) <= tol + 1e-12 * _size(got), name
+    inv, quo = b.inv(), a / b
+    for name, got in (("inv b", inv), ("a / b", quo)):
+        assert _fraction_coordinates(got), name
+    assert abs(inv.to_complex() * zb - 1) <= 1e-12 * (1.0 + _size(inv) * _size(b))
+    assert abs(quo.to_complex() * zb - za) <= 1e-12 * (_size(a) + _size(quo) * _size(b))
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1j, "1", Decimal("0.5"), None])
+def test_constructor_rejects_non_rational_coordinates(bad):
+    with pytest.raises(TypeError):
+        AlgNum((bad, 0, 0, 0))
+    with pytest.raises(TypeError):
+        AlgNum(im=(0, 0, 0, bad))
+    with pytest.raises(TypeError):
+        AlgNum.of(bad)
 
 
 @given(algnums)
@@ -96,7 +143,8 @@ def test_rational_element_and_int_are_one_set_member():
 
 
 @pytest.mark.parametrize("text", ["1*r7", "i*(1)", "1+i*(2", "1*", "r5",
-                                  "1/0", "1+i*(2))", "1+i*(2)+i*(3)"])
+                                  "1/0", "1+i*(2))", "1+i*(2)+i*(3)",
+                                  "", "1+i*()", "+i*(1)"])
 def test_deserialize_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         AlgNum.deserialize(text)
