@@ -3,78 +3,99 @@
 Every coefficient that occurs anywhere in this package (1/sqrt6,
 1/sqrt12 = sqrt3/6, i/2, sqrt2, ...) lives in this one field, so no
 general number-field machinery is needed.  An element is stored as eight
-fully reduced rationals: the real and imaginary parts each expand over
-the radical basis (1, sqrt2, sqrt3, sqrt6).
+integers over one positive common denominator: the real and imaginary
+parts each expand over the radical basis (1, sqrt2, sqrt3, sqrt6), and
+`re`/`im` give those coordinates as Fractions.  The ring operations work
+on the integers alone, with one gcd reduction per sum or product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, neg
+from math import gcd, lcm
+from operator import neg
 from typing import Union
 
 # radical basis indices
 _ONE, _R2, _R3, _R6 = 0, 1, 2, 3
 
-# multiplication table for the radical basis: (i, j) -> (rational factor, index)
+# multiplication table for the radical basis: [i][j] -> (rational factor, index)
 # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
-_RADICAL_MUL = {
-    (_ONE, _ONE): (1, _ONE), (_ONE, _R2): (1, _R2), (_ONE, _R3): (1, _R3), (_ONE, _R6): (1, _R6),
-    (_R2, _R2): (2, _ONE), (_R2, _R3): (1, _R6), (_R2, _R6): (2, _R3),
-    (_R3, _R3): (3, _ONE), (_R3, _R6): (3, _R2),
-    (_R6, _R6): (6, _ONE),
-}
+_RADICAL_MUL = (
+    ((1, _ONE), (1, _R2), (1, _R3), (1, _R6)),
+    ((1, _R2), (2, _ONE), (1, _R6), (2, _R3)),
+    ((1, _R3), (1, _R6), (3, _ONE), (3, _R2)),
+    ((1, _R6), (2, _R3), (3, _R2), (6, _ONE)),
+)
 
 _RADICAL_FLOAT = (1.0, 2 ** 0.5, 3 ** 0.5, 6 ** 0.5)
 
+# shared by `re`/`im` for zero coordinates, which most elements have
+_FRACTION_ZERO = Fraction(0)
+_FRACTION_ZEROS = (_FRACTION_ZERO,) * 4
+
 Rat = Union[int, Fraction]
-
-
-def _rad_mul(i: int, j: int) -> tuple[int, int]:
-    if i > j:
-        i, j = j, i
-    return _RADICAL_MUL[(i, j)]
 
 
 class AlgNum:
     """An element of Q(i, sqrt2, sqrt3).
 
-    Immutable.  `re` and `im` are 4-tuples of Fractions giving the
-    coordinates over (1, sqrt2, sqrt3, sqrt6); the representation is
-    unique, so equality and zero tests are coordinate-wise.  Coordinates
-    must be exact rationals (int or Fraction); anything else raises
-    TypeError.
+    Immutable.  Stored as eight integers over one positive common
+    denominator: `_n` holds the real coordinates over (1, sqrt2, sqrt3,
+    sqrt6), then the imaginary ones, and `_d` > 0 is the denominator, with
+    gcd(_d, *_n) == 1 (zero is eight zeros over 1).  The form is unique,
+    so equality and zero tests compare integers.  `re` and `im` give the
+    coordinates as 4-tuples of Fractions.  Coordinates passed in must be
+    exact rationals (int or Fraction); anything else raises TypeError.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, re=(0, 0, 0, 0), im=(0, 0, 0, 0)):
         re, im = tuple(re), tuple(im)
         if len(re) != 4 or len(im) != 4:
             raise ValueError("AlgNum needs 4 real and 4 imaginary coordinates")
-        for x in re + im:
+        coords = re + im
+        for x in coords:
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"AlgNum coordinates must be int or Fraction, "
                                 f"not {type(x).__name__}")
-        object.__setattr__(self, "re", tuple(map(Fraction, re)))
-        object.__setattr__(self, "im", tuple(map(Fraction, im)))
+        # reduced Fractions over their lcm already have gcd(d, *n) == 1
+        d = lcm(*(x.denominator for x in coords))
+        n = tuple(x.numerator * (d // x.denominator) for x in coords)
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_d", d)
 
     @staticmethod
-    def _raw(re: tuple, im: tuple) -> "AlgNum":
-        """Trusted constructor for the ring operations: `re` and `im` must
-        already be 4-tuples of Fraction, and are stored as they are."""
+    def _make(n: tuple, d: int) -> "AlgNum":
+        """Trusted constructor for the ring operations: `n` must be an
+        8-tuple of int and `d` > 0 with gcd(d, *n) == 1; both are stored
+        as they are."""
         x = object.__new__(AlgNum)
-        object.__setattr__(x, "re", re)
-        object.__setattr__(x, "im", im)
+        object.__setattr__(x, "_n", n)
+        object.__setattr__(x, "_d", d)
         return x
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgNum is immutable")
 
+    @property
+    def re(self) -> tuple:
+        return _fractions(self._n[:4], self._d)
+
+    @property
+    def im(self) -> tuple:
+        return _fractions(self._n[4:], self._d)
+
     # -- constructors ------------------------------------------------
     @staticmethod
     def of(q: Rat) -> "AlgNum":
-        return AlgNum((q, 0, 0, 0))
+        if isinstance(q, int):      # int() stores a bool as 0 or 1
+            return AlgNum._make((int(q), 0, 0, 0, 0, 0, 0, 0), 1)
+        if isinstance(q, Fraction):
+            return AlgNum._make((q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator)
+        raise TypeError(f"AlgNum coordinates must be int or Fraction, "
+                        f"not {type(q).__name__}")
 
     @staticmethod
     def i(q: Rat = 1) -> "AlgNum":
@@ -98,31 +119,44 @@ class AlgNum:
 
     # -- predicates --------------------------------------------------
     def is_zero(self) -> bool:
-        return not any(self.re) and not any(self.im)
+        return not any(self._n)
 
     def is_rational(self) -> bool:
-        return (self.re[1:] == (0, 0, 0) and self.im == (0, 0, 0, 0))
+        return not any(self._n[1:])
 
     def is_real(self) -> bool:
-        return self.im == (0, 0, 0, 0)
+        return not any(self._n[4:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not rational: {self}")
-        return self.re[0]
+        return Fraction(self._n[0], self._d)
 
     # -- ring ops ----------------------------------------------------
     def __add__(self, other) -> "AlgNum":
-        if not isinstance(other, (AlgNum, int, Fraction)):
-            return NotImplemented
-        other = _coerce(other)
-        return AlgNum._raw(tuple(map(add, self.re, other.re)),
-                           tuple(map(add, self.im, other.im)))
+        if not isinstance(other, AlgNum):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = AlgNum.of(other)
+        n2 = other._n
+        if not any(n2):
+            return self
+        n1 = self._n
+        if not any(n1):
+            return other
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            n = [a + b for a, b in zip(n1, n2)]
+            d = d1
+        else:
+            n = [a * d2 + b * d1 for a, b in zip(n1, n2)]
+            d = d1 * d2
+        return _reduced(n, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlgNum":
-        return AlgNum._raw(tuple(map(neg, self.re)), tuple(map(neg, self.im)))
+        return AlgNum._make(tuple(map(neg, self._n)), self._d)
 
     def __sub__(self, other) -> "AlgNum":
         if not isinstance(other, (AlgNum, int, Fraction)):
@@ -133,29 +167,32 @@ class AlgNum:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "AlgNum":
-        if not isinstance(other, (AlgNum, int, Fraction)):
-            return NotImplemented
-        other = _coerce(other)
-        re = [Fraction(0)] * 4
-        im = [Fraction(0)] * 4
+        if not isinstance(other, AlgNum):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = AlgNum.of(other)
+        a, b = self._n, other._n
+        n = [0] * 8
         for i in range(4):
-            a_re, a_im = self.re[i], self.im[i]
-            if a_re == 0 and a_im == 0:
+            a_re, a_im = a[i], a[i + 4]
+            if not (a_re or a_im):
                 continue
+            row = _RADICAL_MUL[i]
             for j in range(4):
-                b_re, b_im = other.re[j], other.im[j]
-                if b_re == 0 and b_im == 0:
+                b_re, b_im = b[j], b[j + 4]
+                if not (b_re or b_im):
                     continue
-                fac, k = _rad_mul(i, j)
-                re[k] += fac * (a_re * b_re - a_im * b_im)
-                im[k] += fac * (a_re * b_im + a_im * b_re)
-        return AlgNum._raw(tuple(re), tuple(im))
+                fac, k = row[j]
+                n[k] += fac * (a_re * b_re - a_im * b_im)
+                n[k + 4] += fac * (a_re * b_im + a_im * b_re)
+        return _reduced(n, self._d * other._d)
 
     __rmul__ = __mul__
 
     def conj(self) -> "AlgNum":
         """Complex conjugation (negates the imaginary coordinates)."""
-        return AlgNum._raw(self.re, tuple(map(neg, self.im)))
+        n = self._n
+        return AlgNum._make(n[:4] + tuple(map(neg, n[4:])), self._d)
 
     def inv(self) -> "AlgNum":
         """Multiplicative inverse by iterated conjugation over the tower.
@@ -175,7 +212,11 @@ class AlgNum:
             cur = cur * other
         if not cur.is_rational():
             raise ArithmeticError("norm fell outside Q")  # unreachable
-        return num * AlgNum.of(Fraction(1, 1) / cur.rational_value())
+        # the first step makes cur = x * conj(x), positive under every
+        # embedding, so the norm p/q is positive and 1/(p/q) = q/p is in
+        # lowest terms with a positive denominator
+        p, q = cur._n[0], cur._d
+        return num * AlgNum._make((q, 0, 0, 0, 0, 0, 0, 0), p)
 
     def __truediv__(self, other) -> "AlgNum":
         return self * _coerce(other).inv()
@@ -185,23 +226,24 @@ class AlgNum:
 
     # -- comparisons / hashing ---------------------------------------
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = AlgNum.of(other)
         if not isinstance(other, AlgNum):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = AlgNum.of(other)
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self):
         # a rational element equals its Fraction, so it must hash like it
         if self.is_rational():
-            return hash(self.re[0])
-        return hash((self.re, self.im))
+            return hash(Fraction(self._n[0], self._d))
+        return hash((self._n, self._d))
 
     # -- embeddings ---------------------------------------------------
     def to_complex(self) -> complex:
         """Floating-point image under the standard embedding (test oracle only)."""
-        re = sum(float(c) * r for c, r in zip(self.re, _RADICAL_FLOAT))
-        im = sum(float(c) * r for c, r in zip(self.im, _RADICAL_FLOAT))
+        n, d = self._n, self._d
+        re = sum(c / d * r for c, r in zip(n[:4], _RADICAL_FLOAT))
+        im = sum(c / d * r for c, r in zip(n[4:], _RADICAL_FLOAT))
         return complex(re, im)
 
     def sign_real(self) -> int:
@@ -213,9 +255,11 @@ class AlgNum:
         """
         if not self.is_real():
             raise ValueError("sign of a non-real element")
-        a, b, c, d = self.re
+        # every comparison below is homogeneous in (a, b, c, d), so the
+        # numerators over the positive denominator give the same signs
+        a, b, c, d = self._n[:4]
 
-        def sign_q_sqrt2(p: Fraction, q: Fraction) -> int:
+        def sign_q_sqrt2(p: int, q: int) -> int:
             # sign of p + q*sqrt2
             if q == 0:
                 return (p > 0) - (p < 0)
@@ -247,23 +291,28 @@ class AlgNum:
     # -- serialization ------------------------------------------------
     def serialize(self) -> str:
         """Canonical text form "a+b*r2+c*r3+d*r6+i*(...)" with exact rationals."""
+        d = self._d
+
         def part(coords) -> str:
             labels = ("", "r2", "r3", "r6")
             pieces = []
             for c, lab in zip(coords, labels):
                 if c == 0:
                     continue
-                body = str(c) if not lab else (f"{c}*{lab}" if c != 1 else lab)
+                g = gcd(c, d)
+                q = f"{c // g}/{d // g}" if d != g else str(c // g)
+                body = q if not lab else (f"{q}*{lab}" if q != "1" else lab)
                 if pieces and not body.startswith("-"):
                     pieces.append("+" + body)
                 else:
                     pieces.append(body)
             return "".join(pieces) if pieces else "0"
 
-        re_s = part(self.re)
-        if self.im == (0, 0, 0, 0):
+        n = self._n
+        re_s = part(n[:4])
+        if not any(n[4:]):
             return re_s
-        return f"{re_s}+i*({part(self.im)})"
+        return f"{re_s}+i*({part(n[4:])})"
 
     @staticmethod
     def deserialize(text: str) -> "AlgNum":
@@ -313,12 +362,23 @@ def _parse_radical(text: str) -> tuple:
     return tuple(coords)
 
 
+def _fractions(n: tuple, d: int) -> tuple:
+    """Four numerators over the denominator d, as Fractions."""
+    if not any(n):
+        return _FRACTION_ZEROS
+    return tuple(Fraction(c, d) if c else _FRACTION_ZERO for c in n)
+
+
+def _reduced(n: list, d: int) -> AlgNum:
+    """The element n/d in lowest terms (one gcd over all nine integers)."""
+    g = gcd(d, *n)
+    if g != 1:
+        return AlgNum._make(tuple(c // g for c in n), d // g)
+    return AlgNum._make(tuple(n), d)
+
+
 def _coerce(x) -> AlgNum:
-    if isinstance(x, AlgNum):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return AlgNum.of(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to AlgNum")
+    return x if isinstance(x, AlgNum) else AlgNum.of(x)
 
 
 def _flip_i(x: AlgNum) -> AlgNum:
@@ -327,13 +387,13 @@ def _flip_i(x: AlgNum) -> AlgNum:
 
 def _flip_r2(x: AlgNum) -> AlgNum:
     # sqrt2 -> -sqrt2 also flips sqrt6 = sqrt2*sqrt3
-    return AlgNum._raw((x.re[0], -x.re[1], x.re[2], -x.re[3]),
-                       (x.im[0], -x.im[1], x.im[2], -x.im[3]))
+    n = x._n
+    return AlgNum._make((n[0], -n[1], n[2], -n[3], n[4], -n[5], n[6], -n[7]), x._d)
 
 
 def _flip_r3(x: AlgNum) -> AlgNum:
-    return AlgNum._raw((x.re[0], x.re[1], -x.re[2], -x.re[3]),
-                       (x.im[0], x.im[1], -x.im[2], -x.im[3]))
+    n = x._n
+    return AlgNum._make((n[0], n[1], -n[2], -n[3], n[4], n[5], -n[6], -n[7]), x._d)
 
 
 # convenient module-level constants

@@ -244,15 +244,11 @@ def _sympy_f_basis(K):
     return f
 
 
-def test_sympy_rederives_kernel_and_harmonic_dimensions():
-    """A second derivation in sympy that shares no computation with
-    cartancr: rebuild the f basis and its structure constants, form the
-    Lie-algebra differentials del: C^1 -> C^2 -> C^3 of m_- = span(f1, f2, f3)
-    with values in g, and count exactly, with no float anywhere."""
-    sympy = pytest.importorskip("sympy")
+def _sympy_brackets(K):
+    """br(a, b, c) = c^a_{bc}, the f-basis structure constants solved for
+    in K from the sympy-built matrices: [f_b, f_c] = sum_a c^a_{bc} f_a."""
     from sympy.polys.matrices import DomainMatrix
 
-    K = sympy.QQ.algebraic_field(sympy.sqrt(2), sympy.sqrt(3), sympy.I)
     f = _sympy_f_basis(K)
     flat = lambda m: [x for row in m.to_list() for x in row]
     brackets = [(b, c) for b in range(10) for c in range(b + 1, 10)]
@@ -266,13 +262,48 @@ def test_sympy_rederives_kernel_and_harmonic_dimensions():
     for n, (b, c) in enumerate(brackets):
         sc[(b, c)] = [red[a][10 + n] for a in range(10)]
         sc[(c, b)] = [-x for x in sc[(b, c)]]
-    br = lambda a, b, c: sc[(b, c)][a] if b != c else K.zero
+    return lambda a, b, c: sc[(b, c)][a] if b != c else K.zero
 
-    units = [K.one] + [K.from_sympy(sympy.sqrt(n)) for n in (2, 3, 6)]
-    i = K.from_sympy(sympy.I)
-    to_k = lambda x: sum((K(sympy.QQ(q.numerator, q.denominator)) * u * w
+
+def _sympy_converter(K):
+    """The map taking a cartancr field element to the same element of K."""
+    from sympy import QQ, I, sqrt
+
+    units = [K.one] + [K.from_sympy(sqrt(n)) for n in (2, 3, 6)]
+    i = K.from_sympy(I)
+    return lambda x: sum((K(QQ(q.numerator, q.denominator)) * u * w
                           for part, w in ((x.re, K.one), (x.im, i))
                           for q, u in zip(part, units)), K.zero)
+
+
+def test_sympy_rederives_killing_matrix():
+    """K(f_a, f_b) = tr(ad f_a ad f_b), with ad taken from brackets solved
+    for in sympy, equals liealg.killing_matrix in all 100 entries."""
+    sympy = pytest.importorskip("sympy")
+    K = sympy.QQ.algebraic_field(sympy.sqrt(2), sympy.sqrt(3), sympy.I)
+    br = _sympy_brackets(K)
+    # (ad f_a)^c_e = c^c_{ae}; only its nonzero entries enter the trace
+    ad = [{(c, e): br(c, a, e) for c in range(10) for e in range(10)
+           if br(c, a, e)} for a in range(10)]
+    killing = [[sum((v * ad[b][(e, c)] for (c, e), v in ad[a].items()
+                     if (e, c) in ad[b]), K.zero) for b in range(10)]
+               for a in range(10)]
+    to_k = _sympy_converter(K)
+    got = liealg.killing_matrix(liealg.build_basis("f"))
+    assert [[to_k(x) for x in row] for row in got] == killing
+
+
+def test_sympy_rederives_kernel_and_harmonic_dimensions():
+    """A second derivation in sympy that shares no computation with
+    cartancr: rebuild the f basis and its structure constants, form the
+    Lie-algebra differentials del: C^1 -> C^2 -> C^3 of m_- = span(f1, f2, f3)
+    with values in g, and count exactly, with no float anywhere."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    K = sympy.QQ.algebraic_field(sympy.sqrt(2), sympy.sqrt(3), sympy.I)
+    br = _sympy_brackets(K)
+    to_k = _sympy_converter(K)
 
     def tau_on(tau, x, y):        # coordinates of tau(f_x, f_y), antisymmetric
         if x == y:

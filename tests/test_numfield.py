@@ -85,6 +85,101 @@ def test_ring_operations_return_fraction_coordinates(a, b, q):
     assert abs(quo.to_complex() * zb - za) <= 1e-12 * (_size(a) + _size(quo) * _size(b))
 
 
+# products of the radical basis (1, sqrt2, sqrt3, sqrt6), written out:
+# [i][j] -> (rational factor, index of the radical)
+_RADICAL_PRODUCT = (
+    ((1, 0), (1, 1), (1, 2), (1, 3)),
+    ((1, 1), (2, 0), (1, 3), (2, 2)),
+    ((1, 2), (1, 3), (3, 0), (3, 1)),
+    ((1, 3), (2, 2), (3, 1), (6, 0)),
+)
+
+
+def _ref(x):
+    """An element as 8 Fractions (real coordinates, then imaginary)."""
+    return x.re + x.im
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * 8
+    for i in range(4):
+        for j in range(4):
+            fac, k = _RADICAL_PRODUCT[i][j]
+            out[k] += fac * (a[i] * b[j] - a[i + 4] * b[j + 4])
+            out[k + 4] += fac * (a[i] * b[j + 4] + a[i + 4] * b[j])
+    return tuple(out)
+
+
+def _ref_inv(b):
+    """Solve b * x = 1 as an 8x8 rational system by Gauss-Jordan elimination."""
+    units = [tuple(Fraction(int(k == n)) for k in range(8)) for n in range(8)]
+    columns = [_ref_mul(b, u) for u in units]          # column n is b * e_n
+    rows = [[columns[n][k] for n in range(8)] + [Fraction(int(k == 0))]
+            for k in range(8)]
+    for col in range(8):
+        pivot = next(r for r in range(col, 8) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(8):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return tuple(row[8] for row in rows)
+
+
+def _canonical(x):
+    # eight ints over a positive denominator, in lowest terms
+    n, d = x._n, x._d
+    return (len(n) == 8 and all(type(c) is int for c in n + (d,))
+            and d > 0 and math.gcd(d, *n) == 1)
+
+
+# mixed and large denominators, with zero coordinates common
+wide = st.one_of(st.just(0), st.integers(-10**12, 10**12), fractions,
+                 st.fractions(min_value=-10**6, max_value=10**6,
+                              max_denominator=10**6))
+wide_coords = st.tuples(wide, wide, wide, wide)
+wide_algnums = st.builds(lambda re, im: AlgNum(re, im), wide_coords, wide_coords)
+wide_nonzero = wide_algnums.filter(lambda x: not x.is_zero())
+
+
+@given(wide_algnums, wide_nonzero)
+@example(ONE, I)
+@example(ZERO, AlgNum((0, Fraction(1, 999983), 0, 0), (0, 0, 0, Fraction(-7, 10**6))))
+def test_ring_operations_match_fraction_reference(a, b):
+    ra, rb = _ref(a), _ref(b)
+    inv_b = _ref_inv(rb)
+    expected = {
+        "a + b": (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        "a - b": (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        "-a": (-a, tuple(-x for x in ra)),
+        "a * b": (a * b, _ref_mul(ra, rb)),
+        "conj a": (a.conj(), ra[:4] + tuple(-x for x in ra[4:])),
+        "inv b": (b.inv(), inv_b),
+        "a / b": (a / b, _ref_mul(ra, inv_b)),
+    }
+    for name, (got, want) in expected.items():
+        assert _canonical(got), name
+        assert _ref(got) == want, name
+    assert _ref_mul(rb, inv_b) == _ref(ONE)
+
+
+@given(wide_algnums, wide_nonzero)
+def test_equal_values_from_different_paths_are_equal_and_hash_alike(a, b):
+    for got, want in (((a * b) / b, a), ((a + b) - b, a), (a - a, ZERO),
+                      (a - a, 0), (b / b, ONE), (b / b, 1)):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert _canonical(got)
+
+
+@given(wide_algnums)
+def test_adding_zero_returns_the_other_operand(a):
+    for got in (a + 0, 0 + a, ZERO + a, a + ZERO, a + Fraction(0), a - 0):
+        assert got == a and hash(got) == hash(a)
+
+
 @pytest.mark.parametrize("bad", [0.1, 0.5, 1j, "1", Decimal("0.5"), None])
 def test_constructor_rejects_non_rational_coordinates(bad):
     with pytest.raises(TypeError):
@@ -140,6 +235,25 @@ def test_rational_elements_hash_like_their_value(q):
 def test_rational_element_and_int_are_one_set_member():
     assert len({AlgNum.of(1), 1}) == 1
     assert len({AlgNum.of(Fraction(1, 2)), Fraction(1, 2), HALF}) == 1
+
+
+_TOKENS = ("0", "1", "2", "3", "6", "7", "10", "+", "-", "*", "/", "(", ")",
+           "i", "r", "r2", "r3", "r6", "+i*(")
+
+
+@given(st.one_of(st.text(alphabet="0123456789+-*/()ir"),
+                 st.lists(st.sampled_from(_TOKENS)).map("".join)))
+@example("1/2*r2-r6+i*(-3*r3+1/5)")
+@example("1+i*(2/0*r3)")
+def test_deserialize_raises_value_error_or_round_trips(text):
+    # malformed text must fail with ValueError and nothing else; what
+    # parses must survive serialize -> deserialize unchanged
+    try:
+        x = AlgNum.deserialize(text)
+    except ValueError:
+        return
+    assert _canonical(x)
+    assert AlgNum.deserialize(x.serialize()) == x
 
 
 @pytest.mark.parametrize("text", ["1*r7", "i*(1)", "1+i*(2", "1*", "r5",
