@@ -30,10 +30,6 @@ _RADICAL_MUL = (
 
 _RADICAL_FLOAT = (1.0, 2 ** 0.5, 3 ** 0.5, 6 ** 0.5)
 
-# shared by `re`/`im` for zero coordinates, which most elements have
-_FRACTION_ZERO = Fraction(0)
-_FRACTION_ZEROS = (_FRACTION_ZERO,) * 4
-
 Rat = Union[int, Fraction]
 
 
@@ -94,8 +90,7 @@ class AlgNum:
             return AlgNum._make((int(q), 0, 0, 0, 0, 0, 0, 0), 1)
         if isinstance(q, Fraction):
             return AlgNum._make((q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator)
-        raise TypeError(f"AlgNum coordinates must be int or Fraction, "
-                        f"not {type(q).__name__}")
+        return AlgNum((q, 0, 0, 0))     # raises the constructor's TypeError
 
     @staticmethod
     def i(q: Rat = 1) -> "AlgNum":
@@ -134,10 +129,9 @@ class AlgNum:
 
     # -- ring ops ----------------------------------------------------
     def __add__(self, other) -> "AlgNum":
-        if not isinstance(other, AlgNum):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = AlgNum.of(other)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
         n2 = other._n
         if not any(n2):
             return self
@@ -145,13 +139,7 @@ class AlgNum:
         if not any(n1):
             return other
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            n = [a + b for a, b in zip(n1, n2)]
-            d = d1
-        else:
-            n = [a * d2 + b * d1 for a, b in zip(n1, n2)]
-            d = d1 * d2
-        return _reduced(n, d)
+        return _reduced([a * d2 + b * d1 for a, b in zip(n1, n2)], d1 * d2)
 
     __radd__ = __add__
 
@@ -159,18 +147,17 @@ class AlgNum:
         return AlgNum._make(tuple(map(neg, self._n)), self._d)
 
     def __sub__(self, other) -> "AlgNum":
-        if not isinstance(other, (AlgNum, int, Fraction)):
-            return NotImplemented
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> "AlgNum":
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        return other if other is NotImplemented else other + (-self)
 
     def __mul__(self, other) -> "AlgNum":
-        if not isinstance(other, AlgNum):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = AlgNum.of(other)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
         a, b = self._n, other._n
         n = [0] * 8
         for i in range(4):
@@ -219,17 +206,18 @@ class AlgNum:
         return num * AlgNum._make((q, 0, 0, 0, 0, 0, 0, 0), p)
 
     def __truediv__(self, other) -> "AlgNum":
-        return self * _coerce(other).inv()
+        other = _coerce(other)
+        return other if other is NotImplemented else self * other.inv()
 
     def __rtruediv__(self, other) -> "AlgNum":
-        return _coerce(other) * self.inv()
+        other = _coerce(other)
+        return other if other is NotImplemented else other * self.inv()
 
     # -- comparisons / hashing ---------------------------------------
     def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgNum):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = AlgNum.of(other)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
         return self._d == other._d and self._n == other._n
 
     def __hash__(self):
@@ -364,9 +352,7 @@ def _parse_radical(text: str) -> tuple:
 
 def _fractions(n: tuple, d: int) -> tuple:
     """Four numerators over the denominator d, as Fractions."""
-    if not any(n):
-        return _FRACTION_ZEROS
-    return tuple(Fraction(c, d) if c else _FRACTION_ZERO for c in n)
+    return tuple(Fraction(c, d) for c in n)
 
 
 def _reduced(n: list, d: int) -> AlgNum:
@@ -377,8 +363,13 @@ def _reduced(n: list, d: int) -> AlgNum:
     return AlgNum._make(tuple(n), d)
 
 
-def _coerce(x) -> AlgNum:
-    return x if isinstance(x, AlgNum) else AlgNum.of(x)
+def _coerce(x):
+    """x as an AlgNum if it is an AlgNum, int or Fraction, else NotImplemented."""
+    if isinstance(x, AlgNum):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return AlgNum.of(x)
+    return NotImplemented
 
 
 def _flip_i(x: AlgNum) -> AlgNum:

@@ -381,11 +381,12 @@ class ConstraintTable:
         if cur is not None:
             if cur["kind"] != "zero":
                 raise ValueError(f"slot {slot} already constrained by a relation")
-            if provenance not in cur["provenance"]:
-                cur["provenance"].append(provenance)
-            if cur["primal"] is not None:
-                # listed explicitly now; promote over the derived copy
-                cur["primal"] = None
+            # replace the entry rather than mutate it: copies made by
+            # `without` share it.  Listed explicitly now, it is primal.
+            tags = cur["provenance"]
+            if provenance not in tags:
+                tags = tags + [provenance]
+            self.entries[slot] = {**cur, "provenance": tags, "primal": None}
         else:
             self.entries[slot] = {"kind": "zero", "provenance": [provenance],
                                   "primal": None, "rhs": None}
@@ -411,14 +412,16 @@ class ConstraintTable:
         return [s for s, e in self.entries.items() if e["primal"] is None]
 
     def without(self, primal_slot) -> "ConstraintTable":
-        """Copy minus one primal constraint and everything derived from it."""
+        """Copy minus one primal constraint and everything derived from it:
+        its conjugate mate, if the mate was added with it.
+
+        The copy shares the entry dicts, which the tables only ever replace."""
         out = ConstraintTable()
-        for slot, e in self.entries.items():
-            if slot == primal_slot or e["primal"] == primal_slot:
-                continue
-            out.entries[slot] = {"kind": e["kind"],
-                                 "provenance": list(e["provenance"]),
-                                 "primal": e["primal"], "rhs": e["rhs"]}
+        out.entries = dict(self.entries)
+        out.entries.pop(primal_slot, None)
+        mate = self._close(primal_slot)
+        if mate in out.entries and out.entries[mate]["primal"] == primal_slot:
+            del out.entries[mate]
         return out
 
     def state(self, slot):
@@ -596,6 +599,8 @@ def _latex_rat(q: Fraction, lead: bool) -> str:
 def algnum_latex(x: AlgNum) -> str:
     """Render an exact scalar; pure rationals and pure imaginary rationals
     get the compact forms used in the displayed equations."""
+    if x.is_zero():
+        return "0"
     parts = []
     radicals = ("", r"\sqrt{2}", r"\sqrt{3}", r"\sqrt{6}")
     for q, rad in zip(x.re, radicals):

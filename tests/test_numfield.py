@@ -1,6 +1,7 @@
 """Field arithmetic: axioms, the float embedding oracle, serialization."""
 
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -188,6 +189,17 @@ def test_constructor_rejects_non_rational_coordinates(bad):
         AlgNum(im=(0, 0, 0, bad))
     with pytest.raises(TypeError):
         AlgNum.of(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1j, "1", Decimal("0.5"), None])
+def test_arithmetic_with_non_rationals_raises_type_error(bad):
+    a = AlgNum((1, Fraction(1, 2), 0, 0), (0, 0, 3, 0))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(a, bad)
+        with pytest.raises(TypeError):
+            op(bad, a)
+    assert a != bad and not a == bad
 
 
 @given(algnums)

@@ -126,6 +126,29 @@ def test_without_drops_derived_copies():
     assert reduced.state((2, (0, 4))) is None
 
 
+def test_without_copy_and_original_stay_independent():
+    # the copy shares entries with the original, so adding to either one
+    # (a new provenance tag, a derived entry promoted to primal) must leave
+    # the other as it was
+    table = ConstraintTable()
+    table.add_zero((1, (0, 3)), "a")
+    table.add_zero((5, (0, 1)), "b")
+    original = constraints_to_json(table)
+    weak = table.without((5, (0, 1)))
+    weak.add_zero((1, (0, 3)), "c")
+    weak.add_zero((2, (0, 4)), "d")
+    assert constraints_to_json(table) == original
+    copy = constraints_to_json(weak)
+    assert '"c"' in copy and '"d"' in copy and "derived_from" not in copy
+    table.add_zero((1, (0, 3)), "e")
+    table.add_zero((2, (0, 4)), "f")
+    assert constraints_to_json(weak) == copy
+    assert table.entries[(1, (0, 3))]["provenance"] == ["a", "e"]
+    assert table.primal_slots() == [(1, (0, 3)), (2, (0, 4)), (5, (0, 1))]
+    # a promoted mate is primal, so removing its partner keeps it
+    assert table.without((1, (0, 3))).state((2, (0, 4))) == "zero"
+
+
 def test_generated_equations_match_reference():
     got = generate_structure_equations(_load_table())
     assert equations_diff(got, _load_reference()) == []
@@ -203,6 +226,7 @@ def test_algnum_latex():
     assert algnum_latex(AlgNum.sqrt2(Fraction(1, 2))) == r"\frac{1}{2}\sqrt{2}"
     assert algnum_latex(AlgNum.i(-2)) == "-2i"
     assert algnum_latex(AlgNum.of(Fraction(3, 4))) == r"\frac{3}{4}"
+    assert algnum_latex(ZERO) == "0"
 
 
 def test_equations_latex_fragments():
