@@ -265,9 +265,9 @@ def emit_artifacts(kind: str, fmt: str, fixtures: Path) -> str:
         return (structeq.constraints_to_latex(table) if fmt == "latex"
                 else structeq.constraints_to_json(table))
     if kind == "bases":
-        data = {kind_: [_matrix_json(e) for e in liealg.build_basis(kind_).elements]
-                for kind_ in ("standard", "cr", "f")}
         if fmt == "json":
+            data = {kind_: [_matrix_json(e) for e in liealg.build_basis(kind_).elements]
+                    for kind_ in ("standard", "cr", "f")}
             return json.dumps(data, indent=2)
         blocks = []
         for kind_ in ("standard", "cr", "f"):

@@ -310,30 +310,22 @@ def kernel_to_cr_components(vec: dict) -> CurvatureComponents:
 # (1-based index dicts; made 0-based below)
 _L1_IMAGES = (
     {1: {2: 1, 3: 1}},
-    {1: {2: "i", 3: "-i"}},
+    {1: {2: I, 3: -I}},
     {2: {4: 1, 7: -1}, 3: {5: 1, 6: -1}},
-    {2: {4: "i", 7: "-i"}, 3: {5: "-i", 6: "i"}},
-    {2: {4: "i", 7: "i"}, 3: {5: "-i", 6: "-i"}},
+    {2: {4: I, 7: -I}, 3: {5: -I, 6: I}},
+    {2: {4: I, 7: I}, 3: {5: -I, 6: -I}},
     {2: {4: 1, 7: 1}, 3: {5: -1, 6: -1}},
     {2: {6: 1, 7: 1}, 3: {6: 1, 7: 1}},
-    {2: {6: "i", 7: "i"}, 3: {6: "-i", 7: "-i"}},
+    {2: {6: I, 7: I}, 3: {6: -I, 7: -I}},
 )
 
 _M_DOMAIN = tuple(range(5))     # cr indices of m
 
 
-def _coerce(v) -> AlgNum:
-    if v == "i":
-        return I
-    if v == "-i":
-        return -I
-    return AlgNum.of(v)
-
-
 def l1_generators() -> list[CochainMap]:
     out = []
     for img in _L1_IMAGES:
-        mapping = {s - 1: {t - 1: _coerce(v) for t, v in tgt.items()}
+        mapping = {s - 1: {t - 1: v for t, v in tgt.items()}
                    for s, tgt in img.items()}
         out.append(CochainMap("cr", _M_DOMAIN, mapping))
     return out

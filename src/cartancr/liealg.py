@@ -16,6 +16,7 @@ Degrees by position are (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2) in every basis.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from . import linalg
@@ -79,10 +80,10 @@ def commutator(a, b):
     return mat_add(linalg.mat_mul(a, b), mat_scale(AlgNum.of(-1), linalg.mat_mul(b, a)))
 
 
-def membership_so32(matrix, form=None) -> bool:
-    """A^T * form + form * A == 0, exactly."""
-    g = CAL_I if form is None else form
-    lhs = mat_add(linalg.mat_mul(linalg.transpose(matrix), g), linalg.mat_mul(g, matrix))
+def membership_so32(matrix) -> bool:
+    """A^T * CAL_I + CAL_I * A == 0, exactly."""
+    lhs = mat_add(linalg.mat_mul(linalg.transpose(matrix), CAL_I),
+                  linalg.mat_mul(CAL_I, matrix))
     return all(x.is_zero() for row in lhs for x in row)
 
 
@@ -217,7 +218,7 @@ def grading_decomposition() -> dict:
         "m": (0, 1, 2, 3, 4),
         "h0": (5, 6),
         "h": (5, 6, 7, 8, 9),
-        "dims": {-2: 1, -1: 2, 0: 4, 1: 2, 2: 1},
+        "dims": dict(Counter(DEGREES)),
     }
 
 
@@ -226,10 +227,10 @@ def _trace_of_product(a, b) -> AlgNum:
                 if not a[i][k].is_zero() and not b[k][i].is_zero()), ZERO)
 
 
-def adjoint_matrix(x_matrix, basis: Basis | None = None):
-    """ad_X as a 10x10 matrix in the given basis (f basis by default):
+def adjoint_matrix(x_matrix):
+    """ad_X as a 10x10 matrix in the f basis:
     (ad X)^a_b = sum_k x_k c^a_{kb}, with x the coordinates of X."""
-    basis = basis or build_basis("f")
+    basis = build_basis("f")
     out = linalg.zeros(DIM, DIM)
     for k, xk in enumerate(basis.expand(x_matrix)):
         if xk.is_zero():

@@ -122,11 +122,6 @@ class AlgNum:
     def is_real(self) -> bool:
         return not any(self._n[4:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self}")
-        return Fraction(self._n[0], self._d)
-
     # -- ring ops ----------------------------------------------------
     def __add__(self, other) -> "AlgNum":
         other = _coerce(other)
@@ -193,7 +188,7 @@ class AlgNum:
         cur = self
         # after each step cur is invariant under the flips applied so far,
         # so three steps land it in Q (the field norm up to that subtower)
-        for flip in (_flip_i, _flip_r2, _flip_r3):
+        for flip in (AlgNum.conj, _flip_r2, _flip_r3):
             other = flip(cur)
             num = num * other
             cur = cur * other
@@ -370,10 +365,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return AlgNum.of(x)
     return NotImplemented
-
-
-def _flip_i(x: AlgNum) -> AlgNum:
-    return x.conj()
 
 
 def _flip_r2(x: AlgNum) -> AlgNum:

@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 
 from . import liealg
-from .numfield import AlgNum, ZERO, ONE, I, HALF
+from .numfield import AlgNum, ONE, I, HALF
 
 GENERATOR_NAMES = (
     "th_-2", "th_-1(10)", "th_-1(01)", "th_0(10)", "th_0(01)",
@@ -31,15 +31,34 @@ GENERATOR_LATEX = (
     r"\omega^{0(10)}", r"\omega^{0(01)}", r"\omega^{1(10)}",
     r"\omega^{1(01)}", r"\omega^{2}",
 )
-# upper-index labels as printed on curvature symbols
+# upper-index labels as printed on curvature symbols; the five theta
+# labels double as the lower-index labels
 UPPER_LABELS = ("-2", "-1(10)", "-1(01)", "0(10)", "0(01)",
                 "0(10)", "0(01)", "1(10)", "1(01)", "2")
-LOWER_LABELS = ("-2", "-1(10)", "-1(01)", "0(10)", "0(01)")
 
-CONJ_GEN = (0, 2, 1, 4, 3, 6, 5, 8, 7, 9)
-CONJ_LEG = (0, 2, 1, 4, 3)
+# the reality involution on generators: the coframe is dual to the cr basis
+CONJ_GEN = liealg.CR_CONJ
 
 THETA_PAIRS = tuple((b, c) for b in range(5) for c in range(b + 1, 5))
+
+
+def _conj_pair(i: int, j: int):
+    """conj(gen^i ^ gen^j) = sign * gen^b ^ gen^c with b < c, as (sign, (b, c))."""
+    b, c = CONJ_GEN[i], CONJ_GEN[j]
+    return (1, (b, c)) if b < c else (-1, (c, b))
+
+
+def _accumulate(terms: dict, key, value):
+    """terms[key] += value in a sparse sum: a key whose sum is zero is dropped."""
+    s = terms[key] + value if key in terms else value
+    if s.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
+def _is_index(x, n: int) -> bool:
+    return type(x) is int and 0 <= x < n
 
 
 class CurvatureSymbol:
@@ -50,8 +69,9 @@ class CurvatureSymbol:
 
     def __init__(self, upper: int, pair):
         b, c = pair
-        if not (0 <= b < c <= 4):
-            raise ValueError(f"bad theta pair {pair!r}")
+        if not (_is_index(upper, liealg.DIM) and _is_index(b, 5)
+                and _is_index(c, 5) and b < c):
+            raise ValueError(f"bad curvature slot ({upper!r}, {pair!r})")
         self.upper = upper
         self.pair = (b, c)
 
@@ -65,22 +85,17 @@ class CurvatureSymbol:
 
     def conj(self):
         """Conjugate symbol with sign: conj(S^A_{BC}) = sign * S^{A~}_{B~C~}."""
-        upper = CONJ_GEN[self.upper]
-        b, c = CONJ_LEG[self.pair[0]], CONJ_LEG[self.pair[1]]
-        sign = 1
-        if b > c:
-            b, c = c, b
-            sign = -1
-        return sign, CurvatureSymbol(upper, (b, c))
+        sign, pair = _conj_pair(*self.pair)
+        return sign, CurvatureSymbol(CONJ_GEN[self.upper], pair)
 
     def name(self) -> str:
         b, c = self.pair
-        return f"{self.kind}^{{{UPPER_LABELS[self.upper]}}}_{{{LOWER_LABELS[b]},{LOWER_LABELS[c]}}}"
+        return f"{self.kind}^{{{UPPER_LABELS[self.upper]}}}_{{{UPPER_LABELS[b]},{UPPER_LABELS[c]}}}"
 
     def latex(self) -> str:
         b, c = self.pair
         return (f"{self.kind}^{{{UPPER_LABELS[self.upper]}}}"
-                f"_{{{LOWER_LABELS[b]}\\,{LOWER_LABELS[c]}}}")
+                f"_{{{UPPER_LABELS[b]}\\,{UPPER_LABELS[c]}}}")
 
     def __eq__(self, other):
         return isinstance(other, CurvatureSymbol) and self.key == other.key
@@ -121,15 +136,10 @@ class PolyCoeff:
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, ZERO) + coeff
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
         p = PolyCoeff()
-        p.terms = out
+        p.terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            _accumulate(p.terms, mono, coeff)
         return p
 
     def __neg__(self):
@@ -150,12 +160,7 @@ class PolyCoeff:
         out = PolyCoeff()
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                s = out.terms.get(mono, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.terms.pop(mono, None)
-                else:
-                    out.terms[mono] = s
+                _accumulate(out.terms, tuple(sorted(m1 + m2)), c1 * c2)
         return out
 
     __rmul__ = __mul__
@@ -163,19 +168,14 @@ class PolyCoeff:
     def conj(self) -> "PolyCoeff":
         out = PolyCoeff()
         for mono, coeff in self.terms.items():
-            sign = 1
+            coeff = coeff.conj()
             keys = []
-            for key in mono:
-                s, sym = CurvatureSymbol(key[0], key[1]).conj()
-                sign *= s
-                keys.append(sym.key)
-            mono2 = tuple(sorted(keys))
-            c2 = coeff.conj() * AlgNum.of(sign)
-            s2 = out.terms.get(mono2, ZERO) + c2
-            if s2.is_zero():
-                out.terms.pop(mono2, None)
-            else:
-                out.terms[mono2] = s2
+            for upper, pair in mono:
+                sign, pair = _conj_pair(*pair)
+                if sign < 0:
+                    coeff = -coeff
+                keys.append((CONJ_GEN[upper], pair))
+            _accumulate(out.terms, tuple(sorted(keys)), coeff)
         return out
 
     def __eq__(self, other):
@@ -208,33 +208,21 @@ class TwoForm:
                 if not poly.is_zero():
                     self.terms[pair] = poly
 
-    @staticmethod
-    def zero() -> "TwoForm":
-        return TwoForm()
-
     def add_term(self, i: int, j: int, poly: PolyCoeff):
         if i == j or poly.is_zero():
             return
         if i > j:
-            i, j = j, i
-            poly = -poly
-        s = self.terms.get((i, j), PolyCoeff()) + poly
-        if s.is_zero():
-            self.terms.pop((i, j), None)
-        else:
-            self.terms[(i, j)] = s
+            i, j, poly = j, i, -poly
+        _accumulate(self.terms, (i, j), poly)
 
     def __add__(self, other):
-        out = TwoForm(dict(self.terms))
+        out = TwoForm(self.terms)
         for (i, j), poly in other.terms.items():
             out.add_term(i, j, poly)
         return out
 
     def __sub__(self, other):
-        out = TwoForm(dict(self.terms))
-        for (i, j), poly in other.terms.items():
-            out.add_term(i, j, -poly)
-        return out
+        return self + TwoForm({p: -poly for p, poly in other.terms.items()})
 
     def scaled(self, poly: PolyCoeff) -> "TwoForm":
         out = TwoForm()
@@ -266,26 +254,9 @@ def wedge(a: dict, b: dict) -> TwoForm:
     return out
 
 
-def one_form_add(*forms) -> dict:
-    out = {}
-    for f in forms:
-        for g, poly in f.items():
-            s = out.get(g, PolyCoeff()) + poly
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
-    return out
-
-
-def one_form_scale(poly: PolyCoeff, form: dict) -> dict:
-    return {g: poly * p for g, p in form.items() if not (poly * p).is_zero()}
-
-
 def maurer_cartan_forms() -> dict[int, TwoForm]:
     """d gen^A = -1/2 c^A_{BC} gen^B ^ gen^C from the cr structure constants."""
-    basis = liealg.build_basis("cr")
-    sc = basis.structure_constants()
+    sc = liealg.build_basis("cr").structure_constants()
     rules = {}
     for a in range(liealg.DIM):
         tf = TwoForm()
@@ -316,8 +287,7 @@ def exterior_derivative(one_form: dict, rules: dict, diff_map=None) -> TwoForm:
                 if key not in diff_map:
                     continue
                 rest = mono[:pos] + mono[pos + 1:]
-                partial = PolyCoeff({rest: coeff})
-                out.add_term(diff_map[key], g, partial)
+                out.add_term(diff_map[key], g, PolyCoeff({rest: coeff}))
     return out
 
 
@@ -328,22 +298,11 @@ def exterior_derivative_two_form(tf: TwoForm, rules: dict, diff_map=None) -> dic
     out = {}
 
     def add(i, j, k, poly):
-        idx = (i, j, k)
-        if len(set(idx)) < 3 or poly.is_zero():
+        if len({i, j, k}) < 3 or poly.is_zero():
             return
-        sign = 1
-        idx = list(idx)
-        for a in range(2):          # three-element bubble sort
-            for b in range(2 - a):
-                if idx[b] > idx[b + 1]:
-                    idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                    sign = -sign
-        key = tuple(idx)
-        s = out.get(key, PolyCoeff()) + (poly if sign == 1 else -poly)
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        if (i > j) ^ (i > k) ^ (j > k):     # odd permutation of sorted order
+            poly = -poly
+        _accumulate(out, tuple(sorted((i, j, k))), poly)
 
     for (i, j), poly in tf.terms.items():
         for mono, coeff in poly.terms.items():
@@ -363,20 +322,16 @@ class ConstraintTable:
 
     Each primal entry either kills a slot or constrains its symbol by a
     relation (the symbol stays in the equations, flagged).  Entries derived
-    by the reality involution point back at their primal slot.
+    by the reality involution point back at their primal slot.  A slot that
+    names no curvature symbol raises ValueError.
     """
 
     def __init__(self):
         self.entries = {}   # slot -> {"kind", "provenance", "primal", "rhs"}
 
-    def _close(self, slot):
-        upper, (b, c) = slot
-        bb, cc = CONJ_LEG[b], CONJ_LEG[c]
-        if bb > cc:
-            bb, cc = cc, bb
-        return (CONJ_GEN[upper], (bb, cc))
-
     def add_zero(self, slot, provenance: str):
+        sym = CurvatureSymbol(*slot)
+        slot = sym.key
         cur = self.entries.get(slot)
         if cur is not None:
             if cur["kind"] != "zero":
@@ -390,23 +345,25 @@ class ConstraintTable:
         else:
             self.entries[slot] = {"kind": "zero", "provenance": [provenance],
                                   "primal": None, "rhs": None}
-        mate = self._close(slot)
+        mate = sym.conj()[1].key
         if mate != slot and mate not in self.entries:
             self.entries[mate] = {"kind": "zero", "provenance": [provenance],
                                   "primal": slot, "rhs": None}
 
     def add_relation(self, slot, rhs: PolyCoeff, provenance: str):
+        sym = CurvatureSymbol(*slot)
+        slot = sym.key
         if slot in self.entries:
             raise ValueError(f"slot {slot} already constrained")
         self.entries[slot] = {"kind": "relation", "provenance": [provenance],
                               "primal": None, "rhs": rhs}
-        mate = self._close(slot)
+        sign, mate_sym = sym.conj()
+        mate = mate_sym.key
         if mate != slot and mate not in self.entries:
             # conj the relation: sign from the slot symbol, conj of the rhs
-            sign, _ = CurvatureSymbol(slot[0], slot[1]).conj()
-            rhs2 = rhs.conj() * AlgNum.of(sign)
+            rhs2 = rhs.conj()
             self.entries[mate] = {"kind": "relation", "provenance": [provenance],
-                                  "primal": slot, "rhs": rhs2}
+                                  "primal": slot, "rhs": rhs2 if sign > 0 else -rhs2}
 
     def primal_slots(self) -> list:
         return [s for s, e in self.entries.items() if e["primal"] is None]
@@ -419,7 +376,7 @@ class ConstraintTable:
         out = ConstraintTable()
         out.entries = dict(self.entries)
         out.entries.pop(primal_slot, None)
-        mate = self._close(primal_slot)
+        mate = CurvatureSymbol(*primal_slot).conj()[1].key
         if mate in out.entries and out.entries[mate]["primal"] == primal_slot:
             del out.entries[mate]
         return out
@@ -442,23 +399,13 @@ class Equation:
     def __init__(self, generator: int, mc: TwoForm, rhs: dict):
         self.generator = generator
         self.mc = mc          # TwoForm with constant PolyCoeffs
-        self.rhs = rhs        # {(b, c): {"constrained": bool}}
+        self.rhs = rhs        # {(b, c): constrained flag}
 
     def conjugate(self) -> "Equation":
         mc = TwoForm()
         for (i, j), poly in self.mc.terms.items():
-            ii, jj = CONJ_GEN[i], CONJ_GEN[j]
-            sign = 1
-            if ii > jj:
-                ii, jj = jj, ii
-                sign = -1
-            mc.add_term(ii, jj, poly.conj() * AlgNum.of(sign))
-        rhs = {}
-        for (b, c), info in self.rhs.items():
-            bb, cc = CONJ_LEG[b], CONJ_LEG[c]
-            if bb > cc:
-                bb, cc = cc, bb
-            rhs[(bb, cc)] = {"constrained": info["constrained"]}
+            mc.add_term(CONJ_GEN[i], CONJ_GEN[j], poly.conj())
+        rhs = {_conj_pair(*pair)[1]: flag for pair, flag in self.rhs.items()}
         return Equation(CONJ_GEN[self.generator], mc, rhs)
 
 
@@ -469,9 +416,8 @@ def generate_structure_equations(table: ConstraintTable | None = None) -> list[E
         rhs = {}
         for pair in THETA_PAIRS:
             state = table.state((a, pair)) if table is not None else None
-            if state == "zero":
-                continue
-            rhs[pair] = {"constrained": state is not None}
+            if state != "zero":
+                rhs[pair] = state is not None
         out.append(Equation(a, rules[a], rhs))
     return out
 
@@ -498,7 +444,7 @@ def equations_diff(got: list[Equation], want: list[Equation]) -> list[str]:
                 diffs.append(f"gen {eq.generator}: missing term at {pair}")
             elif b is None:
                 diffs.append(f"gen {eq.generator}: extra term at {pair}")
-            elif a["constrained"] != b["constrained"]:
+            elif a != b:
                 diffs.append(f"gen {eq.generator}: flag mismatch at {pair}")
     for g in sorted(set(by_gen) - {e.generator for e in got}):
         diffs.append(f"missing equation for generator {g}")
@@ -515,24 +461,28 @@ def equations_to_json(eqs: list[Equation]) -> str:
             "generator": eq.generator,
             "mc": [{"pair": list(p), "coeff": poly.terms[()].serialize()}
                    for p, poly in sorted(eq.mc.terms.items())],
-            "rhs": [{"pair": list(p), "constrained": info["constrained"]}
-                    for p, info in sorted(eq.rhs.items())],
+            "rhs": [{"pair": list(p), "constrained": flag}
+                    for p, flag in sorted(eq.rhs.items())],
         })
     return json.dumps({"generators": list(GENERATOR_NAMES),
                        "equations": payload}, indent=2)
 
 
 def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equation]:
+    """Inverse of equations_to_json; a bad generator or rhs pair raises ValueError."""
     data = json.loads(text)
     eqs = []
     for item in data["equations"]:
+        gen = item["generator"]
+        if not _is_index(gen, liealg.DIM):
+            raise ValueError(f"bad generator {gen!r}")
         mc = TwoForm()
         for term in item["mc"]:
             i, j = term["pair"]
             mc.add_term(i, j, PolyCoeff.const(AlgNum.deserialize(term["coeff"])))
-        rhs = {tuple(t["pair"]): {"constrained": t["constrained"]}
+        rhs = {CurvatureSymbol(gen, t["pair"]).pair: t["constrained"]
                for t in item["rhs"]}
-        eqs.append(Equation(item["generator"], mc, rhs))
+        eqs.append(Equation(gen, mc, rhs))
     if derive_conjugates:
         have = {e.generator for e in eqs}
         for eq in list(eqs):
@@ -567,7 +517,8 @@ def constraints_to_json(table: ConstraintTable) -> str:
 
 def load_constraints(text: str) -> ConstraintTable:
     """Build the table from its JSON description: groups of zero slots plus
-    relation entries with PolyCoeff right-hand sides."""
+    relation entries with PolyCoeff right-hand sides.  A slot or symbol that
+    names no curvature symbol raises ValueError."""
     data = json.loads(text)
     table = ConstraintTable()
     for group in data["groups"]:
@@ -580,7 +531,7 @@ def load_constraints(text: str) -> ConstraintTable:
         rhs = PolyCoeff()
         for term in rel["rhs"]:
             coeff = AlgNum.deserialize(term["coeff"])
-            mono = tuple((s[0], (s[1], s[2])) for s in term["symbols"])
+            mono = tuple(CurvatureSymbol(u, (b, c)).key for u, b, c in term["symbols"])
             rhs = rhs + PolyCoeff({mono: coeff})
         table.add_relation((upper, (b, c)), rhs, rel["name"])
     return table
@@ -657,9 +608,9 @@ def equations_to_latex(eqs: list[Equation]) -> str:
             rhs = "0"
         else:
             bits = []
-            for (b, c), info in sorted(eq.rhs.items()):
+            for (b, c), constrained in sorted(eq.rhs.items()):
                 sym = CurvatureSymbol(eq.generator, (b, c))
-                mark = "^{\\sharp}" if info["constrained"] else ""
+                mark = "^{\\sharp}" if constrained else ""
                 bits.append(f"{sym.latex()}{mark}\\,"
                             f"{GENERATOR_LATEX[b]}\\wedge {GENERATOR_LATEX[c]}")
             rhs = " + ".join(bits)
@@ -692,10 +643,6 @@ S_SYMBOL = CurvatureSymbol(1, (0, 4))     # T^{-1(10)}_{-2,0(01)}
 DT_BAR_GENERATOR = 10
 
 
-def _sym(sym: CurvatureSymbol, coeff=None) -> PolyCoeff:
-    return PolyCoeff.symbol(sym, coeff)
-
-
 def verify_iz_change_of_frame(include_torsion: bool = True) -> dict:
     """Check the two coframe-change identities exactly.
 
@@ -705,19 +652,19 @@ def verify_iz_change_of_frame(include_torsion: bool = True) -> dict:
     residual then picks up exactly the dropped terms, which is the
     negative control.
     """
-    t = _sym(T_SYMBOL)
-    s = _sym(S_SYMBOL)
+    t = PolyCoeff.symbol(T_SYMBOL)
+    s = PolyCoeff.symbol(S_SYMBOL)
     _, tbar_sym = T_SYMBOL.conj()
     _, sbar_sym = S_SYMBOL.conj()
-    tbar = _sym(tbar_sym)
-    sbar = _sym(sbar_sym)
+    tbar = PolyCoeff.symbol(tbar_sym)
+    sbar = PolyCoeff.symbol(sbar_sym)
 
     rules = maurer_cartan_forms()
     if include_torsion:
         r1 = rules[1] + TwoForm({(0, 3): t, (0, 4): s})
         r2 = rules[2] + TwoForm({(0, 4): tbar, (0, 3): sbar})
         rules = {**rules, 1: r1, 2: r2}
-    rules[DT_BAR_GENERATOR] = TwoForm.zero()
+    rules[DT_BAR_GENERATOR] = TwoForm()
     diff_map = {tbar_sym.key: DT_BAR_GENERATOR}
 
     c = PolyCoeff.const
@@ -739,7 +686,7 @@ def verify_iz_change_of_frame(include_torsion: bool = True) -> dict:
     d_om = exterior_derivative(om, rules, diff_map)
     d_om1 = exterior_derivative(om1, rules, diff_map)
 
-    residual_11 = d_om + wedge(om1, om1bar) + wedge(om, one_form_add(phi2, phi2bar))
+    residual_11 = d_om + wedge(om1, om1bar) + wedge(om, phi2) + wedge(om, phi2bar)
     residual_12 = d_om1 - wedge(theta2, om1bar) + wedge(om1, phi2) + wedge(om, phi1)
     return {
         "residual_11": residual_11,

@@ -264,3 +264,38 @@ def test_exterior_derivative_requires_rules():
     rules = maurer_cartan_forms()
     with pytest.raises(KeyError):
         exterior_derivative({17: PolyCoeff.const(ONE)}, rules)
+
+
+def _zero_slot_fixture(slot):
+    return json.dumps({"groups": [{"name": "bad", "zero_slots": [slot]}]})
+
+
+def _relation_fixture(slot, symbol):
+    return json.dumps({"groups": [], "relations": [
+        {"name": "bad", "slot": slot, "rhs": [{"coeff": "1", "symbols": [symbol]}]}]})
+
+
+def _equation_fixture(generator, pair):
+    return json.dumps({"equations": [{"generator": generator, "mc": [],
+                                      "rhs": [{"pair": pair, "constrained": False}]}]})
+
+
+_MALFORMED = [
+    *[("zero-slot-" + ",".join(map(str, slot)), load_constraints, _zero_slot_fixture(slot))
+      for slot in ([1, 3, 0], [-1, 0, 1], [1, 2, 2], [12, 0, 1], [1, 0, 7])],
+    ("relation-slot", load_constraints, _relation_fixture([1, 3, 0], [5, 0, 1])),
+    ("relation-symbol", load_constraints, _relation_fixture([5, 0, 1], [-1, 0, 1])),
+    *[(f"equation-{gen}-pair-{b},{c}", equations_from_json, _equation_fixture(gen, [b, c]))
+      for gen, (b, c) in ((-1, (0, 1)), (12, (0, 1)), (1, (1, 0)), (1, (0, 7)))],
+    ("equation-no-rhs", equations_from_json,
+     json.dumps({"equations": [{"generator": 12, "mc": [], "rhs": []}]})),
+]
+
+
+@pytest.mark.parametrize("load, text", [case[1:] for case in _MALFORMED],
+                         ids=[case[0] for case in _MALFORMED])
+def test_malformed_slots_raise_value_error(load, text):
+    # a slot outside 0..9 x {b < c in 0..4} names no curvature symbol; it
+    # must not be stored, nor reach a table lookup through a negative index
+    with pytest.raises(ValueError, match="bad"):
+        load(text)
