@@ -315,6 +315,11 @@ def main(argv=None) -> int:
               "pass --fixtures <dir> with the repository fixtures directory",
               file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # a fixture that is not JSON or names a slot outside the algebra;
+        # exit 1 is kept for "a check failed"
+        print(f"cartancr: malformed fixture in {fixtures}: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         out = json.dumps(report, indent=2, sort_keys=True)
     else:

@@ -38,41 +38,6 @@ PATTERN_VARS = {
 }
 
 
-class CochainMap:
-    """A linear map defined on a coordinate subspace of g, zero elsewhere.
-
-    mapping[src][tgt] is the tgt-component of the image of basis vector src
-    (0-based indices in the chosen basis).
-    """
-
-    def __init__(self, basis_kind: str, domain, mapping):
-        self.basis_kind = basis_kind
-        self.domain = frozenset(domain)
-        self.mapping = {
-            s: {t: AlgNum.of(v) if not isinstance(v, AlgNum) else v
-                for t, v in img.items()}
-            for s, img in mapping.items()
-        }
-        if not self.domain.issuperset(self.mapping):
-            raise ValueError("mapping defined outside declared domain")
-
-    def value_on(self, idx: int) -> list[AlgNum]:
-        out = [ZERO] * liealg.DIM
-        for t, v in self.mapping.get(idx, {}).items():
-            out[t] = v
-        return out
-
-    def apply(self, coords) -> list[AlgNum]:
-        out = [ZERO] * liealg.DIM
-        for s in self.domain:
-            c = coords[s]
-            if c.is_zero():
-                continue
-            for t, v in self.mapping.get(s, {}).items():
-                out[t] = out[t] + c * v
-        return out
-
-
 def bracket_coords(basis: liealg.Basis, u, v) -> list[AlgNum]:
     """Bracket of two coordinate vectors via the structure constants."""
     out = [ZERO] * liealg.DIM
@@ -93,31 +58,22 @@ def bracket_coords(basis: liealg.Basis, u, v) -> list[AlgNum]:
     return out
 
 
-class SpencerDifferential:
-    """del A as a two-cochain, evaluated lazily on basis pairs."""
-
-    def __init__(self, cochain: CochainMap):
-        self.cochain = cochain
-        self.basis = liealg.build_basis(cochain.basis_kind)
-
-    def value(self, i: int, j: int) -> list[AlgNum]:
-        """del A(x_i, x_j) = [x_i, A x_j] - [x_j, A x_i] - A(pi [x_i, x_j])."""
-        if i == j:
-            return [ZERO] * liealg.DIM
-        basis, a = self.basis, self.cochain
-        ei = [ONE if k == i else ZERO for k in range(liealg.DIM)]
-        ej = [ONE if k == j else ZERO for k in range(liealg.DIM)]
-        term1 = bracket_coords(basis, ei, a.value_on(j))
-        term2 = bracket_coords(basis, ej, a.value_on(i))
-        inner = basis.structure_constants()[(i, j)] if i < j else None
-        if inner is None:
-            raw = basis.structure_constants()[(j, i)]
-            inner = [-x for x in raw]
-        term3 = a.apply(list(inner))
-        return [t1 - t2 - t3 for t1, t2, t3 in zip(term1, term2, term3)]
+def spencer_value(basis: liealg.Basis, cochain: dict, i: int, j: int) -> list[AlgNum]:
+    """del A(x_i, x_j) = [x_i, A x_j] - [x_j, A x_i] - A([x_i, x_j]) for the
+    cochain A = {source: {target: value}} (0-based indices in the basis),
+    which is zero off its keys.  Antisymmetric in (i, j), so zero at i == j."""
+    unit = lambda k: [ONE if t == k else ZERO for t in range(liealg.DIM)]
+    image = lambda k: [cochain.get(k, {}).get(t, ZERO) for t in range(liealg.DIM)]
+    out = [x - y for x, y in zip(bracket_coords(basis, unit(i), image(j)),
+                                 bracket_coords(basis, unit(j), image(i)))]
+    for s, img in cochain.items():
+        c = basis.c(s, i, j)
+        if not c.is_zero():
+            for t, v in img.items():
+                out[t] = out[t] - c * v
+    return out
 
 
-_H_DOMAIN = tuple(range(5, 10))     # f6..f10, the non-negative dual side
 _HAT_MINUS = tuple(SIGMA[b] for b in range(3))   # images of f1, f2, f3
 
 
@@ -127,13 +83,14 @@ def _pairing_rows() -> tuple[list, dict]:
     elementary test cochain A^a_b (b over f6..f10), columns indexed by the
     pattern variables of that degree.  The del A values do not depend on
     the degree, so all three are built in one pass on first use."""
+    basis = liealg.build_basis("f")
     labels = []
     rows = {shift: [] for shift in PATTERN_VARS}
-    for b in _H_DOMAIN:
+    for b in range(5, 10):      # f6..f10, the non-negative dual side
         for a in range(liealg.DIM):
-            d_test = SpencerDifferential(CochainMap("f", _H_DOMAIN, {b: {a: ONE}}))
+            test = {b: {a: ONE}}
             vals = {
-                pair: d_test.value(_HAT_MINUS[i], _HAT_MINUS[j])
+                pair: spencer_value(basis, test, _HAT_MINUS[i], _HAT_MINUS[j])
                 for pair, (i, j) in LEG_PAIRS.items()
             }
             for shift, cols in PATTERN_VARS.items():
@@ -306,37 +263,30 @@ def kernel_to_cr_components(vec: dict) -> CurvatureComponents:
     return CurvatureComponents(t10, t01, r10, r01, r1)
 
 
-# generators of the deformation space l^1, as maps m -> g in cr coordinates
-# (1-based index dicts; made 0-based below)
+# generators of the deformation space l^1, as cochains m -> g in cr
+# coordinates (0-based)
 _L1_IMAGES = (
-    {1: {2: 1, 3: 1}},
-    {1: {2: I, 3: -I}},
-    {2: {4: 1, 7: -1}, 3: {5: 1, 6: -1}},
-    {2: {4: I, 7: -I}, 3: {5: -I, 6: I}},
-    {2: {4: I, 7: I}, 3: {5: -I, 6: -I}},
-    {2: {4: 1, 7: 1}, 3: {5: -1, 6: -1}},
-    {2: {6: 1, 7: 1}, 3: {6: 1, 7: 1}},
-    {2: {6: I, 7: I}, 3: {6: -I, 7: -I}},
+    {0: {1: ONE, 2: ONE}},
+    {0: {1: I, 2: -I}},
+    {1: {3: ONE, 6: -ONE}, 2: {4: ONE, 5: -ONE}},
+    {1: {3: I, 6: -I}, 2: {4: -I, 5: I}},
+    {1: {3: I, 6: I}, 2: {4: -I, 5: -I}},
+    {1: {3: ONE, 6: ONE}, 2: {4: -ONE, 5: -ONE}},
+    {1: {5: ONE, 6: ONE}, 2: {5: ONE, 6: ONE}},
+    {1: {5: I, 6: I}, 2: {5: -I, 6: -I}},
 )
 
-_M_DOMAIN = tuple(range(5))     # cr indices of m
+
+def l1_generators() -> list[dict]:
+    return [{s: dict(img) for s, img in gen.items()} for gen in _L1_IMAGES]
 
 
-def l1_generators() -> list[CochainMap]:
-    out = []
-    for img in _L1_IMAGES:
-        mapping = {s - 1: {t - 1: v for t, v in tgt.items()}
-                   for s, tgt in img.items()}
-        out.append(CochainMap("cr", _M_DOMAIN, mapping))
-    return out
-
-
-def l1_boundary_components(gen: CochainMap):
+def l1_boundary_components(gen: dict):
     """The three tracked components of del B: (del B)^{-2}_{-2,-1(10)} and
     (del B)^{+-1}_{-1(10),-1(01)}."""
-    db = SpencerDifferential(gen)
-    c1 = db.value(0, 1)[0]
-    v = db.value(1, 2)
+    basis = liealg.build_basis("cr")
+    c1 = spencer_value(basis, gen, 0, 1)[0]
+    v = spencer_value(basis, gen, 1, 2)
     return c1, v[1], v[2]
 
 

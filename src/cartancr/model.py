@@ -59,15 +59,14 @@ def membership_model(coords) -> dict:
     }
 
 
-def _s_inverse():
-    s = liealg.CONGRUENCE_S
-    return linalg.mat_mul(liealg.CAL_I,
-                          linalg.mat_mul(linalg.transpose(s), liealg.I32))
+# S^-1 = CalI S^T I32, since S^T I32 S = CalI and CalI^2 = 1
+_S_INVERSE = linalg.mat_mul(
+    liealg.CAL_I, linalg.mat_mul(linalg.transpose(liealg.CONGRUENCE_S), liealg.I32))
 
 
 def to_exchange_chart(coords) -> list[AlgNum]:
     """Model coordinates -> coordinates of the anti-diagonal form."""
-    return linalg.mat_vec(_s_inverse(), _point(coords))
+    return linalg.mat_vec(_S_INVERSE, _point(coords))
 
 
 def from_exchange_chart(coords) -> list[AlgNum]:
@@ -79,17 +78,14 @@ def infinitesimal_action(x_matrix, coords) -> list[AlgNum]:
     point, in model coordinates.  Refuses points off the hypersurface."""
     if not membership_model(coords)["member"]:
         raise ValueError("point is not on the model hypersurface")
-    u = to_exchange_chart(coords)
-    return from_exchange_chart(linalg.mat_vec(x_matrix, u))
+    return from_exchange_chart(linalg.mat_vec(x_matrix, to_exchange_chart(coords)))
 
 
 def tangency_defects(x_matrix, coords) -> tuple[AlgNum, AlgNum]:
     """Flow derivatives of the two defining pairings at a model point;
     both vanish identically for algebra elements."""
     w = _point(coords)
-    s_inv = _s_inverse()
-    a = linalg.mat_mul(liealg.CONGRUENCE_S, linalg.mat_mul(x_matrix, s_inv))
-    aw = linalg.mat_vec(a, w)
+    aw = from_exchange_chart(linalg.mat_vec(x_matrix, to_exchange_chart(w)))
     d_sym = symmetric_pairing(aw, w) + symmetric_pairing(w, aw)
     d_herm = hermitian_pairing(aw, w) + hermitian_pairing(w, aw)
     return d_sym, d_herm

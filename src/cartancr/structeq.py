@@ -469,7 +469,8 @@ def equations_to_json(eqs: list[Equation]) -> str:
 
 
 def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equation]:
-    """Inverse of equations_to_json; a bad generator or rhs pair raises ValueError."""
+    """Inverse of equations_to_json; a bad generator, mc pair, rhs pair or
+    constrained flag raises ValueError."""
     data = json.loads(text)
     eqs = []
     for item in data["equations"]:
@@ -479,9 +480,14 @@ def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equa
         mc = TwoForm()
         for term in item["mc"]:
             i, j = term["pair"]
+            if not (_is_index(i, liealg.DIM) and _is_index(j, liealg.DIM) and i != j):
+                raise ValueError(f"bad mc pair {term['pair']!r}")
             mc.add_term(i, j, PolyCoeff.const(AlgNum.deserialize(term["coeff"])))
-        rhs = {CurvatureSymbol(gen, t["pair"]).pair: t["constrained"]
-               for t in item["rhs"]}
+        rhs = {}
+        for t in item["rhs"]:
+            if type(t["constrained"]) is not bool:
+                raise ValueError(f"bad constrained flag {t['constrained']!r}")
+            rhs[CurvatureSymbol(gen, t["pair"]).pair] = t["constrained"]
         eqs.append(Equation(gen, mc, rhs))
     if derive_conjugates:
         have = {e.generator for e in eqs}

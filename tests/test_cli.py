@@ -148,6 +148,22 @@ def test_main_reports_missing_fixtures_cleanly(tmp_path, capsys):
     assert "fixture file not found" in err and "--fixtures" in err
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps({"groups": [{"name": "bad", "zero_slots": [[1, 3, 0]]}]}),
+    '{"groups": [',
+], ids=["slot-1,3,0", "not-json"])
+@pytest.mark.parametrize("argv", [["--emit", "structure-equations"],
+                                  ["--suite", "structure-equations"]],
+                         ids=["emit", "suite"])
+def test_main_reports_malformed_fixture_cleanly(tmp_path, capsys, argv, text):
+    (tmp_path / "constraints.json").write_text(text)
+    assert cli.main([*argv, "--fixtures", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cartancr: malformed fixture")
+    assert captured.err.count("\n") == 1
+
+
 def test_emit_rejects_unknown_kind():
     with pytest.raises(ValueError):
         cli.emit_artifacts("spectra", "json", FIXTURES)

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from cartancr import liealg, linalg
 from cartancr.cohomology import (EPS, LEG_PAIRS, PATTERN_VARS, SIGMA,
-                                 CochainMap, SpencerDifferential, bracket_coords,
-                                 codifferential_kernel, degree1_columns_check,
-                                 degree2_system_check,
+                                 bracket_coords, codifferential_kernel,
+                                 degree1_columns_check, degree2_system_check,
                                  degree3_reduced_residuals,
                                  kernel_to_cr_components, l1_boundary_components,
-                                 l1_generators, torsion_complement)
+                                 l1_generators, spencer_value, torsion_complement)
 from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF, SQRT2
 
 MHALF = AlgNum.sqrt2(Fraction(-1, 2))      # -sqrt2/2 = -1/sqrt2
@@ -57,12 +56,12 @@ def test_sigma_is_an_involution_up_to_sign():
 
 
 def test_spencer_differential_is_antisymmetric():
-    test = CochainMap("f", range(5, 10), {7: {3: ONE, 8: AlgNum.sqrt2()}})
-    d = SpencerDifferential(test)
+    basis = liealg.build_basis("f")
+    test = {7: {3: ONE, 8: AlgNum.sqrt2()}}
     for i in range(liealg.DIM):
         for j in range(liealg.DIM):
-            lhs = d.value(i, j)
-            rhs = d.value(j, i)
+            lhs = spencer_value(basis, test, i, j)
+            rhs = spencer_value(basis, test, j, i)
             assert all(x == -y for x, y in zip(lhs, rhs))
 
 
@@ -95,6 +94,37 @@ def test_bracket_coords_matches_all_pairs_sum(kind, u, v):
             if not c.is_zero():
                 want[a] = want[a] + w * c
     assert bracket_coords(basis, u, v) == want
+
+
+sparse_cochains = st.dictionaries(
+    st.integers(0, 9),
+    st.dictionaries(st.integers(0, 9), st.sampled_from(_ENTRIES[1:]), max_size=3),
+    max_size=3)
+
+
+@pytest.mark.parametrize("kind", ["cr", "f"])
+@given(cochain=sparse_cochains, i=st.integers(0, 9), j=st.integers(0, 9))
+@settings(deadline=None)
+def test_spencer_value_matches_matrix_oracle(kind, cochain, i, j):
+    """del A(x_i, x_j) rebuilt from 5x5 matrices, commutators and one
+    expansion; the structure-constant table is not used."""
+    basis = liealg.build_basis(kind)
+    x = basis.elements
+
+    def image(coords):          # the matrix A(sum_s coords_s x_s)
+        out = linalg.zeros(5, 5)
+        for s, img in cochain.items():
+            for t, v in img.items():
+                out = liealg.mat_add(out, liealg.mat_scale(coords[s] * v, x[t]))
+        return out
+
+    unit = lambda k: [ONE if n == k else ZERO for n in range(liealg.DIM)]
+    minus = lambda m: liealg.mat_scale(-ONE, m)
+    want = liealg.mat_add(
+        liealg.mat_add(liealg.commutator(x[i], image(unit(j))),
+                       minus(liealg.commutator(x[j], image(unit(i))))),
+        minus(image(basis.expand(liealg.commutator(x[i], x[j])))))
+    assert spencer_value(basis, cochain, i, j) == basis.expand(want)
 
 
 def test_kernel_dimensions_by_shifting_degree():

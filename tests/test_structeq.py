@@ -289,6 +289,12 @@ _MALFORMED = [
       for gen, (b, c) in ((-1, (0, 1)), (12, (0, 1)), (1, (1, 0)), (1, (0, 7)))],
     ("equation-no-rhs", equations_from_json,
      json.dumps({"equations": [{"generator": 12, "mc": [], "rhs": []}]})),
+    *[(f"mc-pair-{i!r},{j!r}", equations_from_json, json.dumps({"equations": [
+        {"generator": 1, "mc": [{"pair": [i, j], "coeff": "1"}], "rhs": []}]}))
+      for i, j in ((-1, 3), (3, 10), (2, 2), ("1", 3))],
+    *[(f"constrained-{flag!r}", equations_from_json, json.dumps({"equations": [
+        {"generator": 1, "mc": [], "rhs": [{"pair": [0, 1], "constrained": flag}]}]}))
+      for flag in ("yes", 1, None)],
 ]
 
 
