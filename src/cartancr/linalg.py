@@ -38,11 +38,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_eq(a, b) -> bool:
-    return (len(a) == len(b) and all(len(ra) == len(rb) for ra, rb in zip(a, b))
-            and all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)))
-
-
 def rref(matrix) -> tuple[list[list[AlgNum]], list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
     m = [row[:] for row in matrix]
@@ -88,22 +83,3 @@ def nullspace(matrix) -> list[list[AlgNum]]:
         basis.append(v)
     return basis
 
-
-def determinant(matrix) -> AlgNum:
-    m = [row[:] for row in matrix]
-    n = len(m)
-    det = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c].inv()
-        for i in range(c + 1, n):
-            if not m[i][c].is_zero():
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det

@@ -113,6 +113,7 @@ def levi_form_tube(x) -> dict:
     def levi(u, v):
         return HALF * sum((e * a * b.conj() for e, a, b in zip(eps, u, v)), ZERO)
 
+    # two tangent vectors, so the Levi matrix is 2x2
     matrix = [[levi(u, v) for v in tangent] for u in tangent]
     kernel = linalg.nullspace(matrix)
     directions = []
@@ -128,7 +129,7 @@ def levi_form_tube(x) -> dict:
     return {
         "tangent_basis": tangent,
         "matrix": matrix,
-        "determinant": linalg.determinant(matrix),
+        "determinant": matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0],
         "kernel_dim": len(kernel),
         "kernel_directions": directions,
         "kernel_is_radial": radial and len(kernel) == 1,

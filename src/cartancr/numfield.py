@@ -232,44 +232,20 @@ class AlgNum:
     def sign_real(self) -> int:
         """Exact sign of a real element.
 
-        Splits off the sqrt3-part: x = (a + b*sqrt2) + (c + d*sqrt2)*sqrt3,
-        compares squares with exact rational arithmetic, recursing the same
-        trick on Q(sqrt2).
+        Splits off the sqrt3-part: x = u + v*sqrt3 with u = a + b*sqrt2 and
+        v = c + d*sqrt2, and takes the sign of u, of v and of
+        u^2 - 3 v^2 = p + q*sqrt2 by the one rule of _surd_sign.
         """
         if not self.is_real():
             raise ValueError("sign of a non-real element")
-        # every comparison below is homogeneous in (a, b, c, d), so the
+        # every quantity below is homogeneous in (a, b, c, d), so the
         # numerators over the positive denominator give the same signs
         a, b, c, d = self._n[:4]
-
-        def sign_q_sqrt2(p: int, q: int) -> int:
-            # sign of p + q*sqrt2
-            if q == 0:
-                return (p > 0) - (p < 0)
-            if p == 0:
-                return (q > 0) - (q < 0)
-            if p > 0 and q > 0:
-                return 1
-            if p < 0 and q < 0:
-                return -1
-            # opposite signs: compare p^2 with 2 q^2; sign follows the larger
-            lead = (p > 0) - (p < 0)
-            return lead if p * p > 2 * q * q else -lead
-
-        s1 = sign_q_sqrt2(a, b)          # u = a + b sqrt2
-        s2 = sign_q_sqrt2(c, d)          # v = c + d sqrt2 (coefficient of sqrt3)
-        if s2 == 0:
-            return s1
-        if s1 == 0:
-            return s2
-        if s1 == s2:
-            return s1
-        # u and v*sqrt3 have opposite signs: compare u^2 with 3 v^2
-        u2p = a * a + 2 * b * b
-        u2q = 2 * a * b
-        v2p = 3 * (c * c + 2 * d * d)
-        v2q = 6 * c * d
-        return s1 if sign_q_sqrt2(u2p - v2p, u2q - v2q) > 0 else -s1
+        p = a * a + 2 * b * b - 3 * (c * c + 2 * d * d)
+        q = 2 * a * b - 6 * c * d
+        return _surd_sign(_surd_sign(a, b, a * a - 2 * b * b),
+                          _surd_sign(c, d, c * c - 2 * d * d),
+                          _surd_sign(p, q, p * p - 2 * q * q))
 
     # -- serialization ------------------------------------------------
     def serialize(self) -> str:
@@ -299,7 +275,10 @@ class AlgNum:
 
     @staticmethod
     def deserialize(text: str) -> "AlgNum":
-        """Inverse of serialize; malformed text raises ValueError."""
+        """Inverse of serialize; malformed text raises ValueError, a value
+        that is not a str TypeError."""
+        if not isinstance(text, str):
+            raise TypeError(f"AlgNum text must be a str, not {type(text).__name__}")
         text = text.replace(" ", "")
         re_s, sep, im_s = text.partition("+i*(")
         if sep and not im_s.endswith(")"):
@@ -343,6 +322,16 @@ def _parse_radical(text: str) -> tuple:
         else:
             coords[_ONE] += Fraction(term)
     return tuple(coords)
+
+
+def _surd_sign(p: int, q: int, norm: int) -> int:
+    """Sign of p + q*sqrt(r), r > 0 not a square, from numbers with the signs
+    of p, of q and of the norm p^2 - r q^2.  When p and q have opposite
+    signs the term with the larger square wins."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp == 0 or sq == 0 or sp == sq:
+        return sp or sq
+    return sp if norm > 0 else sq
 
 
 def _fractions(n: tuple, d: int) -> tuple:

@@ -21,31 +21,36 @@ from fractions import Fraction
 from . import liealg
 from .numfield import AlgNum, ONE, I, HALF
 
-GENERATOR_NAMES = (
-    "th_-2", "th_-1(10)", "th_-1(01)", "th_0(10)", "th_0(01)",
-    "om_0(10)", "om_0(01)", "om_1(10)", "om_1(01)", "om_2",
-)
-GENERATOR_LATEX = (
-    r"\vartheta^{-2}", r"\vartheta^{-1(10)}", r"\vartheta^{-1(01)}",
-    r"\vartheta^{0(10)}", r"\vartheta^{0(01)}",
-    r"\omega^{0(10)}", r"\omega^{0(01)}", r"\omega^{1(10)}",
-    r"\omega^{1(01)}", r"\omega^{2}",
-)
-# upper-index labels as printed on curvature symbols; the five theta
-# labels double as the lower-index labels
-UPPER_LABELS = ("-2", "-1(10)", "-1(01)", "0(10)", "0(01)",
-                "0(10)", "0(01)", "1(10)", "1(01)", "2")
+# the coframe is dual to the cr basis, so gen^k carries the label of the
+# k-th cr vector; the five theta labels double as the lower-index labels
+UPPER_LABELS = tuple(name[2:] for name in liealg.CR_NAMES)
+GENERATOR_NAMES = tuple(("th_" if k < 5 else "om_") + label
+                        for k, label in enumerate(UPPER_LABELS))
+GENERATOR_LATEX = tuple((r"\vartheta^{" if k < 5 else r"\omega^{") + label + "}"
+                        for k, label in enumerate(UPPER_LABELS))
 
-# the reality involution on generators: the coframe is dual to the cr basis
+# the reality involution on generators
 CONJ_GEN = liealg.CR_CONJ
 
 THETA_PAIRS = tuple((b, c) for b in range(5) for c in range(b + 1, 5))
 
 
+def _wedge_sign(gens: tuple):
+    """gen^{g_0} ^ gen^{g_1} ^ ... = sign * (the same wedge in sorted order),
+    as (sign, sorted index tuple); sign is 0 when a generator repeats."""
+    sign = 1
+    for k, a in enumerate(gens):
+        for b in gens[k + 1:]:
+            if a == b:
+                return 0, tuple(sorted(gens))
+            if a > b:
+                sign = -sign
+    return sign, tuple(sorted(gens))
+
+
 def _conj_pair(i: int, j: int):
     """conj(gen^i ^ gen^j) = sign * gen^b ^ gen^c with b < c, as (sign, (b, c))."""
-    b, c = CONJ_GEN[i], CONJ_GEN[j]
-    return (1, (b, c)) if b < c else (-1, (c, b))
+    return _wedge_sign((CONJ_GEN[i], CONJ_GEN[j]))
 
 
 def _accumulate(terms: dict, key, value):
@@ -55,6 +60,13 @@ def _accumulate(terms: dict, key, value):
         terms.pop(key, None)
     else:
         terms[key] = s
+
+
+def _add_wedge(terms: dict, gens: tuple, poly: PolyCoeff, sign: int):
+    """terms += sign * poly gen^{gens[0]} ^ gen^{gens[1]} ^ ... in sorted keys."""
+    s, key = _wedge_sign(gens)
+    if s and not poly.is_zero():
+        _accumulate(terms, key, poly if s == sign else -poly)
 
 
 def _is_index(x, n: int) -> bool:
@@ -209,11 +221,7 @@ class TwoForm:
                     self.terms[pair] = poly
 
     def add_term(self, i: int, j: int, poly: PolyCoeff):
-        if i == j or poly.is_zero():
-            return
-        if i > j:
-            i, j, poly = j, i, -poly
-        _accumulate(self.terms, (i, j), poly)
+        _add_wedge(self.terms, (i, j), poly, 1)
 
     def __add__(self, other):
         out = TwoForm(self.terms)
@@ -223,12 +231,6 @@ class TwoForm:
 
     def __sub__(self, other):
         return self + TwoForm({p: -poly for p, poly in other.terms.items()})
-
-    def scaled(self, poly: PolyCoeff) -> "TwoForm":
-        out = TwoForm()
-        for (i, j), p in self.terms.items():
-            out.add_term(i, j, poly * p)
-        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -267,54 +269,42 @@ def maurer_cartan_forms() -> dict[int, TwoForm]:
     return rules
 
 
+def _exterior_derivative(form: dict, rules: dict, diff_map: dict) -> dict:
+    """d of a symbolic form {sorted generator tuple: PolyCoeff} of any degree.
+
+    d(f gen^{g_0} ^ ... ^ gen^{g_k}) = df ^ gen^{g_0} ^ ... ^ gen^{g_k}
+        + f * sum_m (-1)^m gen^{g_0} ^ ... ^ d gen^{g_m} ^ ... ^ gen^{g_k},
+    with df read off diff_map and d gen^g = rules[g].
+    """
+    out = {}
+    for gens, poly in form.items():
+        for mono, coeff in poly.terms.items():
+            for pos, key in enumerate(mono):
+                if key in diff_map:
+                    rest = mono[:pos] + mono[pos + 1:]
+                    _add_wedge(out, (diff_map[key],) + gens, PolyCoeff({rest: coeff}), 1)
+        for m, g in enumerate(gens):
+            for pair, q in rules[g].terms.items():
+                _add_wedge(out, gens[:m] + pair + gens[m + 1:], poly * q, (-1) ** m)
+    return out
+
+
 def exterior_derivative(one_form: dict, rules: dict, diff_map=None) -> TwoForm:
     """d of a symbolic 1-form {gen: PolyCoeff}.
 
     rules[g] must give d(gen g) as a TwoForm for every generator used; a
-    missing rule raises.  diff_map sends a symbol key to the generator
-    index representing its formal differential; symbols not listed are
-    treated as closed.
+    missing rule raises KeyError.  diff_map sends a symbol key to the
+    generator index representing its formal differential; symbols not
+    listed are treated as closed.
     """
-    diff_map = diff_map or {}
-    out = TwoForm()
-    for g, poly in one_form.items():
-        if g not in rules:
-            raise KeyError(f"no exterior derivative rule for generator {g}")
-        out = out + rules[g].scaled(poly)
-        # d(coefficient) ^ gen, via the declared formal differentials
-        for mono, coeff in poly.terms.items():
-            for pos, key in enumerate(mono):
-                if key not in diff_map:
-                    continue
-                rest = mono[:pos] + mono[pos + 1:]
-                out.add_term(diff_map[key], g, PolyCoeff({rest: coeff}))
-    return out
+    return TwoForm(_exterior_derivative({(g,): poly for g, poly in one_form.items()},
+                                        rules, diff_map or {}))
 
 
 def exterior_derivative_two_form(tf: TwoForm, rules: dict, diff_map=None) -> dict:
     """d of a symbolic 2-form, as {(i, j, k) sorted: PolyCoeff}.  Used to
     verify d o d = 0 on the coframe."""
-    diff_map = diff_map or {}
-    out = {}
-
-    def add(i, j, k, poly):
-        if len({i, j, k}) < 3 or poly.is_zero():
-            return
-        if (i > j) ^ (i > k) ^ (j > k):     # odd permutation of sorted order
-            poly = -poly
-        _accumulate(out, tuple(sorted((i, j, k))), poly)
-
-    for (i, j), poly in tf.terms.items():
-        for mono, coeff in poly.terms.items():
-            for pos, skey in enumerate(mono):
-                if skey in diff_map:
-                    rest = mono[:pos] + mono[pos + 1:]
-                    add(diff_map[skey], i, j, PolyCoeff({rest: coeff}))
-        for (a, b), q in rules[i].terms.items():
-            add(a, b, j, poly * q)
-        for (a, b), q in rules[j].terms.items():
-            add(i, a, b, -(poly * q))
-    return out
+    return _exterior_derivative(tf.terms, rules, diff_map or {})
 
 
 class ConstraintTable:
@@ -330,40 +320,34 @@ class ConstraintTable:
         self.entries = {}   # slot -> {"kind", "provenance", "primal", "rhs"}
 
     def add_zero(self, slot, provenance: str):
+        self._enter(slot, "zero", None, provenance)
+
+    def add_relation(self, slot, rhs: PolyCoeff, provenance: str):
+        self._enter(slot, "relation", rhs, provenance)
+
+    def _enter(self, slot, kind: str, rhs, provenance: str):
+        """Enter a primal constraint; derive its mate with rhs sign * conj(rhs)."""
         sym = CurvatureSymbol(*slot)
         slot = sym.key
+        tags = [provenance]
         cur = self.entries.get(slot)
         if cur is not None:
-            if cur["kind"] != "zero":
-                raise ValueError(f"slot {slot} already constrained by a relation")
-            # replace the entry rather than mutate it: copies made by
-            # `without` share it.  Listed explicitly now, it is primal.
+            if kind != "zero" or cur["kind"] != "zero":
+                raise ValueError(f"slot {slot} already constrained ({cur['kind']})")
+            # a zero slot listed again gains the tag and becomes primal; the
+            # entry is replaced, not mutated, since copies made by `without`
+            # share it
             tags = cur["provenance"]
             if provenance not in tags:
                 tags = tags + [provenance]
-            self.entries[slot] = {**cur, "provenance": tags, "primal": None}
-        else:
-            self.entries[slot] = {"kind": "zero", "provenance": [provenance],
-                                  "primal": None, "rhs": None}
-        mate = sym.conj()[1].key
-        if mate != slot and mate not in self.entries:
-            self.entries[mate] = {"kind": "zero", "provenance": [provenance],
-                                  "primal": slot, "rhs": None}
-
-    def add_relation(self, slot, rhs: PolyCoeff, provenance: str):
-        sym = CurvatureSymbol(*slot)
-        slot = sym.key
-        if slot in self.entries:
-            raise ValueError(f"slot {slot} already constrained")
-        self.entries[slot] = {"kind": "relation", "provenance": [provenance],
-                              "primal": None, "rhs": rhs}
+        self.entries[slot] = {"kind": kind, "provenance": tags, "primal": None, "rhs": rhs}
         sign, mate_sym = sym.conj()
         mate = mate_sym.key
         if mate != slot and mate not in self.entries:
-            # conj the relation: sign from the slot symbol, conj of the rhs
-            rhs2 = rhs.conj()
-            self.entries[mate] = {"kind": "relation", "provenance": [provenance],
-                                  "primal": slot, "rhs": rhs2 if sign > 0 else -rhs2}
+            if rhs is not None:
+                rhs = rhs.conj() if sign > 0 else -rhs.conj()
+            self.entries[mate] = {"kind": kind, "provenance": [provenance],
+                                  "primal": slot, "rhs": rhs}
 
     def primal_slots(self) -> list:
         return [s for s, e in self.entries.items() if e["primal"] is None]
@@ -409,13 +393,13 @@ class Equation:
         return Equation(CONJ_GEN[self.generator], mc, rhs)
 
 
-def generate_structure_equations(table: ConstraintTable | None = None) -> list[Equation]:
+def generate_structure_equations(table: ConstraintTable) -> list[Equation]:
     rules = maurer_cartan_forms()
     out = []
     for a in range(liealg.DIM):
         rhs = {}
         for pair in THETA_PAIRS:
-            state = table.state((a, pair)) if table is not None else None
+            state = table.state((a, pair))
             if state != "zero":
                 rhs[pair] = state is not None
         out.append(Equation(a, rules[a], rhs))
@@ -470,25 +454,29 @@ def equations_to_json(eqs: list[Equation]) -> str:
 
 def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equation]:
     """Inverse of equations_to_json; a bad generator, mc pair, rhs pair or
-    constrained flag raises ValueError."""
+    constrained flag, a missing field or a value of the wrong JSON type
+    raises ValueError."""
     data = json.loads(text)
     eqs = []
-    for item in data["equations"]:
-        gen = item["generator"]
-        if not _is_index(gen, liealg.DIM):
-            raise ValueError(f"bad generator {gen!r}")
-        mc = TwoForm()
-        for term in item["mc"]:
-            i, j = term["pair"]
-            if not (_is_index(i, liealg.DIM) and _is_index(j, liealg.DIM) and i != j):
-                raise ValueError(f"bad mc pair {term['pair']!r}")
-            mc.add_term(i, j, PolyCoeff.const(AlgNum.deserialize(term["coeff"])))
-        rhs = {}
-        for t in item["rhs"]:
-            if type(t["constrained"]) is not bool:
-                raise ValueError(f"bad constrained flag {t['constrained']!r}")
-            rhs[CurvatureSymbol(gen, t["pair"]).pair] = t["constrained"]
-        eqs.append(Equation(gen, mc, rhs))
+    try:
+        for item in data["equations"]:
+            gen = item["generator"]
+            if not _is_index(gen, liealg.DIM):
+                raise ValueError(f"bad generator {gen!r}")
+            mc = TwoForm()
+            for term in item["mc"]:
+                i, j = term["pair"]
+                if not (_is_index(i, liealg.DIM) and _is_index(j, liealg.DIM) and i != j):
+                    raise ValueError(f"bad mc pair {term['pair']!r}")
+                mc.add_term(i, j, PolyCoeff.const(AlgNum.deserialize(term["coeff"])))
+            rhs = {}
+            for t in item["rhs"]:
+                if type(t["constrained"]) is not bool:
+                    raise ValueError(f"bad constrained flag {t['constrained']!r}")
+                rhs[CurvatureSymbol(gen, t["pair"]).pair] = t["constrained"]
+            eqs.append(Equation(gen, mc, rhs))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad structure equations: missing or mistyped field ({exc!r})") from exc
     if derive_conjugates:
         have = {e.generator for e in eqs}
         for eq in list(eqs):
@@ -524,22 +512,26 @@ def constraints_to_json(table: ConstraintTable) -> str:
 def load_constraints(text: str) -> ConstraintTable:
     """Build the table from its JSON description: groups of zero slots plus
     relation entries with PolyCoeff right-hand sides.  A slot or symbol that
-    names no curvature symbol raises ValueError."""
+    names no curvature symbol, a missing field or a value of the wrong JSON
+    type raises ValueError."""
     data = json.loads(text)
     table = ConstraintTable()
-    for group in data["groups"]:
-        name = group["name"]
-        for slot in group["zero_slots"]:
-            upper, b, c = slot
-            table.add_zero((upper, (b, c)), name)
-    for rel in data.get("relations", []):
-        upper, b, c = rel["slot"]
-        rhs = PolyCoeff()
-        for term in rel["rhs"]:
-            coeff = AlgNum.deserialize(term["coeff"])
-            mono = tuple(CurvatureSymbol(u, (b, c)).key for u, b, c in term["symbols"])
-            rhs = rhs + PolyCoeff({mono: coeff})
-        table.add_relation((upper, (b, c)), rhs, rel["name"])
+    try:
+        for group in data["groups"]:
+            name = group["name"]
+            for slot in group["zero_slots"]:
+                upper, b, c = slot
+                table.add_zero((upper, (b, c)), name)
+        for rel in data.get("relations", []):
+            upper, b, c = rel["slot"]
+            rhs = PolyCoeff()
+            for term in rel["rhs"]:
+                coeff = AlgNum.deserialize(term["coeff"])
+                mono = tuple(CurvatureSymbol(u, (b, c)).key for u, b, c in term["symbols"])
+                rhs = rhs + PolyCoeff({mono: coeff})
+            table.add_relation((upper, (b, c)), rhs, rel["name"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad constraints: missing or mistyped field ({exc!r})") from exc
     return table
 
 

@@ -151,7 +151,8 @@ def test_main_reports_missing_fixtures_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     json.dumps({"groups": [{"name": "bad", "zero_slots": [[1, 3, 0]]}]}),
     '{"groups": [',
-], ids=["slot-1,3,0", "not-json"])
+    "{}",
+], ids=["slot-1,3,0", "not-json", "empty-object"])
 @pytest.mark.parametrize("argv", [["--emit", "structure-equations"],
                                   ["--suite", "structure-equations"]],
                          ids=["emit", "suite"])

@@ -167,8 +167,7 @@ def test_jacobi_identity_on_structure_constants():
 def test_cr_basis_reality():
     basis = build_basis("cr")
     for k in range(DIM):
-        assert linalg.mat_eq(mat_conj(basis.elements[k]),
-                             basis.elements[CR_CONJ[k]])
+        assert mat_conj(basis.elements[k]) == basis.elements[CR_CONJ[k]]
     # conjugation is an involution pairing degrees
     for k in range(DIM):
         assert CR_CONJ[CR_CONJ[k]] == k
@@ -225,12 +224,12 @@ def test_change_of_basis_witnesses():
         combo = linalg.zeros(5, 5)
         for i in range(DIM):
             combo = mat_add(combo, mat_scale(p[i][j], f.elements[i]))
-        assert linalg.mat_eq(combo, std.elements[j])
+        assert combo == std.elements[j]
 
 
 def test_congruence_relates_the_two_forms():
     st_ = linalg.transpose(CONGRUENCE_S)
-    assert linalg.mat_eq(linalg.mat_mul(st_, linalg.mat_mul(I32, CONGRUENCE_S)), CAL_I)
+    assert linalg.mat_mul(st_, linalg.mat_mul(I32, CONGRUENCE_S)) == CAL_I
 
 
 def test_expand_rejects_off_span():

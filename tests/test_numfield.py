@@ -11,8 +11,16 @@ from hypothesis import example, given, settings, strategies as st
 from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF, SQRT2, SQRT3, SQRT6
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-coords = st.tuples(fractions, fractions, fractions, fractions)
-algnums = st.builds(lambda re, im: AlgNum(re, im), coords, coords)
+
+
+def _over_one_denominator(d):
+    # eight numerators in [-4d, 4d] over d; with d = 60 = lcm(1..6) these
+    # include every value `fractions` can draw, at a fraction of its cost
+    return st.lists(st.integers(-4 * d, 4 * d), min_size=8, max_size=8).map(
+        lambda n: AlgNum([Fraction(k, d) for k in n[:4]], [Fraction(k, d) for k in n[4:]]))
+
+
+algnums = st.sampled_from((1, 2, 3, 4, 5, 6, 60)).flatmap(_over_one_denominator)
 nonzero = algnums.filter(lambda x: not x.is_zero())
 
 
@@ -225,6 +233,21 @@ def test_exact_real_sign():
     assert (x - x).sign_real() == 0
     val = x.to_complex().real
     assert 0 < val < 0.5 and math.copysign(1, val) == 1
+
+
+@given(st.tuples(*[st.integers(-100, 100)] * 4).map(AlgNum))
+@example(99 - 70 * SQRT2)
+@example(49 - 20 * SQRT6)
+@example((SQRT2 + SQRT3) * (SQRT2 + SQRT3) - 5 - 2 * SQRT6)
+def test_real_sign_matches_float_sign(x):
+    # a nonzero element with integer coordinates in [-100, 100] has a
+    # nonzero integer norm and conjugates below 660, so its absolute value
+    # is above 660**-3 > 3e-9, far beyond the rounding error of to_complex
+    val = x.to_complex().real
+    if x.is_zero():
+        assert x.sign_real() == 0
+    else:
+        assert x.sign_real() == math.copysign(1, val) and abs(val) > 1e-9
 
 
 def test_sign_rejects_nonreal():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cartancr.structeq import (CONJ_GEN, GENERATOR_LATEX, GENERATOR_NAMES,
                                S_SYMBOL, T_SYMBOL, THETA_PAIRS, ConstraintTable,
@@ -170,7 +171,7 @@ def test_every_constraint_is_load_bearing():
 
 
 def test_unconstrained_system_differs():
-    got = generate_structure_equations(None)
+    got = generate_structure_equations(ConstraintTable())
     assert all(len(e.rhs) == len(THETA_PAIRS) for e in got)
     assert equations_diff(got, _load_reference())
 
@@ -260,6 +261,23 @@ def test_frame_change_negative_control():
     assert ctrl["residual_12"].terms == expected
 
 
+_TBAR = T_SYMBOL.conj()[1].key
+# polynomials in the conjugate torsion symbol with small complex coefficients
+_TBAR_POLYS = st.lists(st.builds(AlgNum.from_complex_rat, st.integers(-3, 3),
+                                 st.integers(-3, 3)), max_size=3).map(
+    lambda cs: PolyCoeff({(_TBAR,) * k: c for k, c in enumerate(cs)}))
+
+
+@given(st.dictionaries(st.integers(0, 10), _TBAR_POLYS, max_size=4))
+def test_d_squared_is_zero_on_symbolic_one_forms(one_form):
+    # the frame-change setting: generator 10 is the formal differential of
+    # the conjugate torsion symbol, and it is closed
+    rules = {**maurer_cartan_forms(), 10: TwoForm()}
+    diff_map = {_TBAR: 10}
+    d_form = exterior_derivative(one_form, rules, diff_map)
+    assert exterior_derivative_two_form(d_form, rules, diff_map) == {}
+
+
 def test_exterior_derivative_requires_rules():
     rules = maurer_cartan_forms()
     with pytest.raises(KeyError):
@@ -295,6 +313,22 @@ _MALFORMED = [
     *[(f"constrained-{flag!r}", equations_from_json, json.dumps({"equations": [
         {"generator": 1, "mc": [], "rhs": [{"pair": [0, 1], "constrained": flag}]}]}))
       for flag in ("yes", 1, None)],
+    # valid JSON of the wrong shape
+    ("constraints-empty-object", load_constraints, "{}"),
+    ("constraints-list", load_constraints, "[]"),
+    ("zero-slot-int", load_constraints, _zero_slot_fixture(5)),
+    ("group-no-zero-slots", load_constraints, json.dumps({"groups": [{"name": "bad"}]})),
+    ("relation-no-rhs", load_constraints, json.dumps({"groups": [], "relations": [
+        {"name": "bad", "slot": [5, 0, 1]}]})),
+    ("equations-empty-object", equations_from_json, "{}"),
+    ("equation-no-mc", equations_from_json,
+     json.dumps({"equations": [{"generator": 1, "rhs": []}]})),
+    ("mc-no-coeff", equations_from_json, json.dumps({"equations": [
+        {"generator": 1, "mc": [{"pair": [0, 5]}], "rhs": []}]})),
+    ("rhs-no-constrained", equations_from_json, json.dumps({"equations": [
+        {"generator": 1, "mc": [], "rhs": [{"pair": [0, 1]}]}]})),
+    ("mc-coeff-int", equations_from_json, json.dumps({"equations": [
+        {"generator": 1, "mc": [{"pair": [0, 5], "coeff": 3}], "rhs": []}]})),
 ]
 
 
