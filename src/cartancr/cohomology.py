@@ -39,22 +39,19 @@ PATTERN_VARS = {
 
 
 def bracket_coords(basis: liealg.Basis, u, v) -> list[AlgNum]:
-    """Bracket of two coordinate vectors via the structure constants."""
+    """Bracket of two coordinate vectors via the nonzero structure constants."""
     out = [ZERO] * liealg.DIM
-    sc = basis.structure_constants()
-    u_nz = [not x.is_zero() for x in u]
-    v_nz = [not x.is_zero() for x in v]
-    for i in range(liealg.DIM):
-        for j in range(i + 1, liealg.DIM):
-            # unit and sparse inputs: most pairs have a zero in both products
-            if not (u_nz[i] and v_nz[j] or u_nz[j] and v_nz[i]):
-                continue
-            w = u[i] * v[j] - u[j] * v[i]
-            if w.is_zero():
-                continue
-            for a, coeff in enumerate(sc[(i, j)]):
-                if not coeff.is_zero():
-                    out[a] = out[a] + w * coeff
+    sparse = basis.sparse_constants()
+    v_nz = [(j, y) for j, y in enumerate(v) if not y.is_zero()]
+    for i, x in enumerate(u):
+        if x.is_zero():
+            continue
+        for j, y in v_nz:
+            terms = sparse.get((i, j))
+            if terms:
+                w = x * y
+                for a, c in terms:
+                    out[a] = out[a] + w * c
     return out
 
 

@@ -68,6 +68,10 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
@@ -77,7 +81,7 @@ def mat_conj(a):
 
 
 def commutator(a, b):
-    return mat_add(linalg.mat_mul(a, b), mat_scale(AlgNum.of(-1), linalg.mat_mul(b, a)))
+    return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
 def membership_so32(matrix) -> bool:
@@ -108,8 +112,7 @@ def _build_f():
     def comb(c, a, b=None, minus=False):
         if b is None:
             return mat_scale(c, a)
-        s = mat_add(a, mat_scale(AlgNum.of(-1 if minus else 1), b))
-        return mat_scale(c, s)
+        return mat_scale(c, (mat_sub if minus else mat_add)(a, b))
     return [
         comb(inv_r6, cr[0]),
         comb(inv_r6, cr[1], cr[2]),
@@ -133,6 +136,7 @@ class Basis:
         self.elements = elements
         self._expansion = None
         self._sc = None
+        self._sparse = None
 
     def _vectorize(self, m):
         return [m[i][j] for i in range(5) for j in range(5)]
@@ -165,14 +169,28 @@ class Basis:
         return x
 
     def structure_constants(self):
-        """c[(b, c)] -> 10-vector of components of [x_b, x_c], for b < c."""
+        """c[(b, c)] -> 10-vector of components of [x_b, x_c], for b < c.
+        The same pass builds the sparse view of sparse_constants()."""
         if self._sc is None:
-            sc = {}
+            sc, sparse = {}, {}
             for b in range(DIM):
                 for c in range(b + 1, DIM):
-                    sc[(b, c)] = tuple(self.expand(commutator(self.elements[b], self.elements[c])))
-            self._sc = sc
+                    col = tuple(self.expand(commutator(self.elements[b], self.elements[c])))
+                    sc[(b, c)] = col
+                    terms = tuple((a, x) for a, x in enumerate(col) if not x.is_zero())
+                    if terms:
+                        sparse[(b, c)] = terms
+                        sparse[(c, b)] = tuple((a, -x) for a, x in terms)
+            self._sc, self._sparse = sc, sparse
         return self._sc
+
+    def sparse_constants(self):
+        """The nonzero structure constants by ordered pair:
+        (b, c) -> ((a, c^a_{bc}), ...) for every a with c^a_{bc} != 0, and
+        no key for a pair whose bracket is zero (b == c included)."""
+        if self._sparse is None:
+            self.structure_constants()
+        return self._sparse
 
     def c(self, a: int, b: int, c: int) -> AlgNum:
         """Structure constant c^a_{bc} with antisymmetry in (b, c)."""
@@ -222,36 +240,40 @@ def grading_decomposition() -> dict:
     }
 
 
-def _trace_of_product(a, b) -> AlgNum:
-    return sum((a[i][k] * b[k][i] for i in range(DIM) for k in range(DIM)
-                if not a[i][k].is_zero() and not b[k][i].is_zero()), ZERO)
+def _trace_of_product(a: dict, b: dict) -> AlgNum:
+    """trace(A B) for matrices given by their nonzero entries {(row, col): value}."""
+    return sum((x * b[(j, i)] for (i, j), x in a.items() if (j, i) in b), ZERO)
 
 
 def adjoint_matrix(x_matrix):
     """ad_X as a 10x10 matrix in the f basis:
     (ad X)^a_b = sum_k x_k c^a_{kb}, with x the coordinates of X."""
     basis = build_basis("f")
+    sparse = basis.sparse_constants()
     out = linalg.zeros(DIM, DIM)
     for k, xk in enumerate(basis.expand(x_matrix)):
         if xk.is_zero():
             continue
-        for a in range(DIM):
-            for b in range(DIM):
-                c = basis.c(a, k, b)
-                if not c.is_zero():
-                    out[a][b] = out[a][b] + xk * c
+        for b in range(DIM):
+            for a, c in sparse.get((k, b), ()):
+                out[a][b] = out[a][b] + xk * c
     return out
 
 
 def killing_form(x_matrix, y_matrix) -> AlgNum:
     """trace(ad X o ad Y), exact and basis-independent."""
-    return _trace_of_product(adjoint_matrix(x_matrix), adjoint_matrix(y_matrix))
+    ad_x, ad_y = ({(a, b): c for a, row in enumerate(adjoint_matrix(m))
+                   for b, c in enumerate(row) if not c.is_zero()}
+                  for m in (x_matrix, y_matrix))
+    return _trace_of_product(ad_x, ad_y)
 
 
 def killing_matrix(basis: Basis):
     """K(x_a, x_b) = trace(ad x_a o ad x_b), with (ad x_k)^a_b = c^a_{kb}
-    read off the basis's own structure constants."""
-    ads = [[[basis.c(a, k, b) for b in range(DIM)] for a in range(DIM)]
+    read off the basis's own nonzero structure constants."""
+    sparse = basis.sparse_constants()
+    # ads[k][(a, b)] = c^a_{kb}, nonzero entries only
+    ads = [{(a, b): c for b in range(DIM) for a, c in sparse.get((k, b), ())}
            for k in range(DIM)]
     out = linalg.zeros(DIM, DIM)
     for a in range(DIM):

@@ -16,8 +16,6 @@ direction, the radial one.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import liealg, linalg
 from .numfield import AlgNum, ZERO, ONE, HALF
 

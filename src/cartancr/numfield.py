@@ -6,7 +6,9 @@ general number-field machinery is needed.  An element is stored as eight
 integers over one positive common denominator: the real and imaginary
 parts each expand over the radical basis (1, sqrt2, sqrt3, sqrt6), and
 `re`/`im` give those coordinates as Fractions.  The ring operations work
-on the integers alone, with one gcd reduction per sum or product.
+on the integers alone, with one gcd reduction per sum, difference or
+product, and none when an operand is zero, since the result is then an
+operand or its negative.
 """
 
 from __future__ import annotations
@@ -143,17 +145,22 @@ class AlgNum:
 
     def __sub__(self, other) -> "AlgNum":
         other = _coerce(other)
-        return other if other is NotImplemented else self + (-other)
+        return other if other is NotImplemented else _difference(self, other)
 
     def __rsub__(self, other) -> "AlgNum":
         other = _coerce(other)
-        return other if other is NotImplemented else other + (-self)
+        return other if other is NotImplemented else _difference(other, self)
 
     def __mul__(self, other) -> "AlgNum":
         other = _coerce(other)
         if other is NotImplemented:
             return other
         a, b = self._n, other._n
+        # a zero factor is the product: zero has one stored form
+        if not any(a):
+            return self
+        if not any(b):
+            return other
         n = [0] * 8
         for i in range(4):
             a_re, a_im = a[i], a[i + 4]
@@ -332,6 +339,19 @@ def _surd_sign(p: int, q: int, norm: int) -> int:
     if sp == 0 or sq == 0 or sp == sq:
         return sp or sq
     return sp if norm > 0 else sq
+
+
+def _difference(x: AlgNum, y: AlgNum) -> AlgNum:
+    """x - y as one cross-multiplied difference; a zero operand costs no
+    arithmetic."""
+    n2 = y._n
+    if not any(n2):
+        return x
+    n1 = x._n
+    if not any(n1):
+        return -y
+    d1, d2 = x._d, y._d
+    return _reduced([a * d2 - b * d1 for a, b in zip(n1, n2)], d1 * d2)
 
 
 def _fractions(n: tuple, d: int) -> tuple:

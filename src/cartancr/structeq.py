@@ -53,6 +53,14 @@ def _conj_pair(i: int, j: int):
     return _wedge_sign((CONJ_GEN[i], CONJ_GEN[j]))
 
 
+def _conj_slot(slot):
+    """conj(S^A_{BC}) = sign * S^{A~}_{B~C~} on slot keys (A, (B, C)),
+    as (sign, conjugate slot)."""
+    upper, pair = slot
+    sign, pair = _conj_pair(*pair)
+    return sign, (CONJ_GEN[upper], pair)
+
+
 def _accumulate(terms: dict, key, value):
     """terms[key] += value in a sparse sum: a key whose sum is zero is dropped."""
     s = terms[key] + value if key in terms else value
@@ -97,8 +105,8 @@ class CurvatureSymbol:
 
     def conj(self):
         """Conjugate symbol with sign: conj(S^A_{BC}) = sign * S^{A~}_{B~C~}."""
-        sign, pair = _conj_pair(*self.pair)
-        return sign, CurvatureSymbol(CONJ_GEN[self.upper], pair)
+        sign, (upper, pair) = _conj_slot(self.key)
+        return sign, CurvatureSymbol(upper, pair)
 
     def name(self) -> str:
         b, c = self.pair
@@ -182,11 +190,11 @@ class PolyCoeff:
         for mono, coeff in self.terms.items():
             coeff = coeff.conj()
             keys = []
-            for upper, pair in mono:
-                sign, pair = _conj_pair(*pair)
+            for key in mono:
+                sign, key = _conj_slot(key)
                 if sign < 0:
                     coeff = -coeff
-                keys.append((CONJ_GEN[upper], pair))
+                keys.append(key)
             _accumulate(out.terms, tuple(sorted(keys)), coeff)
         return out
 
@@ -257,16 +265,18 @@ def wedge(a: dict, b: dict) -> TwoForm:
 
 
 def maurer_cartan_forms() -> dict[int, TwoForm]:
-    """d gen^A = -1/2 c^A_{BC} gen^B ^ gen^C from the cr structure constants."""
-    sc = liealg.build_basis("cr").structure_constants()
-    rules = {}
-    for a in range(liealg.DIM):
-        tf = TwoForm()
-        for (b, c), vec in sc.items():
-            if not vec[a].is_zero():
-                tf.add_term(b, c, PolyCoeff.const(-vec[a]))
-        rules[a] = tf
-    return rules
+    """d gen^A = -1/2 c^A_{BC} gen^B ^ gen^C = sum over B < C of
+    c^A_{CB} gen^B ^ gen^C, from the nonzero cr structure constants; a
+    fresh dict of fresh forms on every call."""
+    sparse = liealg.build_basis("cr").sparse_constants()
+    terms = {a: {} for a in range(liealg.DIM)}
+    for pair in sparse:
+        b, c = pair
+        if b < c:
+            # each (A, B < C) occurs once, so no sum or sign rule is needed
+            for a, x in sparse[(c, b)]:
+                terms[a][pair] = PolyCoeff.const(x)
+    return {a: TwoForm(t) for a, t in terms.items()}
 
 
 def _exterior_derivative(form: dict, rules: dict, diff_map: dict) -> dict:
@@ -360,7 +370,7 @@ class ConstraintTable:
         out = ConstraintTable()
         out.entries = dict(self.entries)
         out.entries.pop(primal_slot, None)
-        mate = CurvatureSymbol(*primal_slot).conj()[1].key
+        mate = _conj_slot(CurvatureSymbol(*primal_slot).key)[1]
         if mate in out.entries and out.entries[mate]["primal"] == primal_slot:
             del out.entries[mate]
         return out
@@ -509,27 +519,45 @@ def constraints_to_json(table: ConstraintTable) -> str:
     return json.dumps({"slots": slots}, indent=2)
 
 
+def _entry_name(entry: dict, kind: str) -> str:
+    """The provenance name of a constraints group or relation; it must be a str."""
+    name = entry["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"bad constraints: {kind} name {name!r} is not a string")
+    return name
+
+
+def _json_slot(slot, where: str):
+    """A slot [upper, b, c] as (upper, (b, c)); any other shape raises ValueError."""
+    if not isinstance(slot, list) or len(slot) != 3:
+        raise ValueError(f"bad constraints: slot {slot!r} in {where} "
+                         "is not three entries long")
+    upper, b, c = slot
+    return upper, (b, c)
+
+
 def load_constraints(text: str) -> ConstraintTable:
     """Build the table from its JSON description: groups of zero slots plus
     relation entries with PolyCoeff right-hand sides.  A slot or symbol that
-    names no curvature symbol, a missing field or a value of the wrong JSON
-    type raises ValueError."""
+    names no curvature symbol or is not three entries long, a name that is
+    not a string, a missing field or a value of the wrong JSON type raises
+    ValueError."""
     data = json.loads(text)
     table = ConstraintTable()
     try:
         for group in data["groups"]:
-            name = group["name"]
+            name = _entry_name(group, "group")
             for slot in group["zero_slots"]:
-                upper, b, c = slot
-                table.add_zero((upper, (b, c)), name)
+                table.add_zero(_json_slot(slot, f"group {name!r}"), name)
         for rel in data.get("relations", []):
-            upper, b, c = rel["slot"]
+            name = _entry_name(rel, "relation")
             rhs = PolyCoeff()
             for term in rel["rhs"]:
                 coeff = AlgNum.deserialize(term["coeff"])
-                mono = tuple(CurvatureSymbol(u, (b, c)).key for u, b, c in term["symbols"])
+                mono = tuple(CurvatureSymbol(*_json_slot(sym, f"relation {name!r}")).key
+                             for sym in term["symbols"])
                 rhs = rhs + PolyCoeff({mono: coeff})
-            table.add_relation((upper, (b, c)), rhs, rel["name"])
+            table.add_relation(_json_slot(rel["slot"], f"relation {name!r}"), rhs, name)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad constraints: missing or mistyped field ({exc!r})") from exc
     return table

@@ -1,5 +1,7 @@
 """CLI report determinism, exit codes, artifact emission."""
 
+import ast
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -50,6 +52,22 @@ def test_report_and_artifacts_match_goldens(report):
     for kind, fmt in golden.EMITS:
         text = cli.emit_artifacts(kind, fmt, FIXTURES)
         assert golden.emit_ok(kind, fmt, text), (kind, fmt)
+
+
+def test_benchmark_span_targets_resolve():
+    # bench/layers.py wraps each (owner, attribute) of its SPANNED tuple by
+    # name; the tuple is read from the source, not imported
+    tree = ast.parse((ROOT / "bench" / "layers.py").read_text())
+    spanned = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [ast.unparse(t) for t in node.targets] == ["SPANNED"])
+    assert len(spanned.elts) >= 20
+    for entry in spanned.elts:
+        _, owner, attr = entry.elts
+        module, *path = ast.unparse(owner).split(".")
+        obj = importlib.import_module(f"cartancr.{module}")
+        for part in path:
+            obj = getattr(obj, part)
+        assert callable(vars(obj).get(attr.value)), ast.unparse(entry)
 
 
 def test_json_report_is_byte_identical(capsys):

@@ -204,6 +204,19 @@ def _trace3(x, y):
 @pytest.mark.parametrize("kind", ["standard", "cr", "f"])
 def test_killing_is_three_times_trace_form(kind):
     basis = build_basis(kind)
+    # killing_matrix reads the sparse view: exactly the nonzero c^a_{bc},
+    # for both orders of every pair, in the order of the dense table
+    sparse = basis.sparse_constants()
+    want = {}
+    for b in range(DIM):
+        for c in range(DIM):
+            terms = tuple((a, basis.c(a, b, c)) for a in range(DIM)
+                          if not basis.c(a, b, c).is_zero())
+            if terms:
+                want[(b, c)] = terms
+    assert sparse == want
+    # of the 450 entries c^a_{bc}, b < c, only these are nonzero
+    assert sum(map(len, want.values())) == 2 * {"standard": 36, "cr": 30, "f": 36}[kind]
     km = killing_matrix(basis)
     for a in range(DIM):
         for b in range(DIM):

@@ -159,6 +159,7 @@ wide_nonzero = wide_algnums.filter(lambda x: not x.is_zero())
 def test_ring_operations_match_fraction_reference(a, b):
     ra, rb = _ref(a), _ref(b)
     inv_b = _ref_inv(rb)
+    zero = (Fraction(0),) * 8
     expected = {
         "a + b": (a + b, tuple(x + y for x, y in zip(ra, rb))),
         "a - b": (a - b, tuple(x - y for x, y in zip(ra, rb))),
@@ -167,10 +168,21 @@ def test_ring_operations_match_fraction_reference(a, b):
         "conj a": (a.conj(), ra[:4] + tuple(-x for x in ra[4:])),
         "inv b": (b.inv(), inv_b),
         "a / b": (a / b, _ref_mul(ra, inv_b)),
+        # a zero operand skips the arithmetic: the result is an operand,
+        # its negative, or zero
+        "a * 0": (a * 0, zero),
+        "0 * a": (ZERO * a, zero),
+        "a - 0": (a - ZERO, ra),
+        "0 - a": (0 - a, tuple(-x for x in ra)),
+        "ZERO - a": (ZERO - a, tuple(-x for x in ra)),
+        "a - a": (a - a, zero),
+        "b - b": (b - b, zero),
     }
     for name, (got, want) in expected.items():
+        # lowest terms, so zero is eight zeros over 1
         assert _canonical(got), name
         assert _ref(got) == want, name
+        assert hash(got) == hash(AlgNum(want[:4], want[4:])), name
     assert _ref_mul(rb, inv_b) == _ref(ONE)
 
 

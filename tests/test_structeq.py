@@ -320,6 +320,18 @@ _MALFORMED = [
     ("group-no-zero-slots", load_constraints, json.dumps({"groups": [{"name": "bad"}]})),
     ("relation-no-rhs", load_constraints, json.dumps({"groups": [], "relations": [
         {"name": "bad", "slot": [5, 0, 1]}]})),
+    # a provenance name that is not a string would reach the latex emitter
+    *[(f"{kind}-name-{name!r}", load_constraints, text)
+      for name in (5, None, ["g"])
+      for kind, text in (
+          ("group", json.dumps({"groups": [{"name": name, "zero_slots": [[1, 0, 3]]}]})),
+          ("relation", json.dumps({"groups": [], "relations": [
+              {"name": name, "slot": [5, 0, 1], "rhs": []}]})))],
+    # slots of the wrong length are reported with the group or relation
+    *[(f"zero-slot-{len(slot)}-entries", load_constraints, _zero_slot_fixture(slot))
+      for slot in ([1, 0], [1, 0, 3, 4], [])],
+    ("relation-slot-2-entries", load_constraints, _relation_fixture([5, 0], [5, 0, 1])),
+    ("relation-symbol-2-entries", load_constraints, _relation_fixture([5, 0, 1], [5, 0])),
     ("equations-empty-object", equations_from_json, "{}"),
     ("equation-no-mc", equations_from_json,
      json.dumps({"equations": [{"generator": 1, "rhs": []}]})),
