@@ -15,8 +15,7 @@ def main():
     print("\na few brackets in the f basis:")
     sc = f.structure_constants()
     for (b, c) in ((0, 5), (1, 2), (7, 8)):
-        comps = {f.names[a]: v.serialize()
-                 for a, v in enumerate(sc[(b, c)]) if not v.is_zero()}
+        comps = {f.names[a]: v.serialize() for a, v in sc.get((b, c), ())}
         print(f"  [{f.names[b]}, {f.names[c]}] = {comps}")
 
     print("\nKilling form Gram matrix on the f basis (nonzero entries):")

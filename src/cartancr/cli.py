@@ -13,13 +13,17 @@ import sys
 from pathlib import Path
 
 from . import cohomology, liealg, linalg, model, structeq
-from .numfield import AlgNum, ZERO, I
+from .numfield import AlgNum, ZERO, ONE, I, HALF
 
 SCHEMA = 1
 
 SUITES = ("algebra", "killing", "kernels", "torsion",
           "structure-equations", "iz-comparison", "model", "all")
 EMITS = ("structure-equations", "constraints", "bases", "killing-matrix")
+
+# closed-form values of the tracked boundary components
+TORSION_WITNESSES = {"c1_of_B3": -ONE, "c1_of_B4": -I,
+                     "c2_of_B1": -HALF * I, "c3_of_B2": -HALF}
 
 
 def _default_fixtures() -> Path:
@@ -44,18 +48,18 @@ def _suite_algebra():
            f"dims {grading['dims']}")
     f = liealg.build_basis("f")
     deg = liealg.DEGREES
-    # sparse[(p, q)] holds the nonzero coordinates (e, t) of [f_p, f_q]
-    sparse = f.sparse_constants()
+    # sc[(p, q)] holds the nonzero coordinates (e, t) of [f_p, f_q]
+    sc = f.structure_constants()
     ok = all(deg[k] == deg[i] + deg[j]
-             for (i, j), terms in sparse.items() for k, _ in terms)
+             for (i, j), terms in sc.items() for k, _ in terms)
     yield ("algebra.grading.pairs", ok, "brackets respect the degree grading")
 
     def jacobiator(a, b, c):
         # [[f_a, f_b], f_c] + cyclic, from the nonzero constants alone
         acc = [ZERO] * 10
         for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
-            for e, t in sparse.get((p, q), ()):
-                for k, y in sparse.get((e, r), ()):
+            for e, t in sc.get((p, q), ()):
+                for k, y in sc.get((e, r), ()):
                     acc[k] = acc[k] + t * y
         return acc
     ok = all(x.is_zero() for a, b, c in itertools.combinations(range(10), 3)
@@ -65,7 +69,7 @@ def _suite_algebra():
     ok = all(liealg.mat_conj(cr.elements[i]) == cr.elements[liealg.CR_CONJ[i]]
              for i in range(10))
     yield ("algebra.reality", ok, "conjugation permutes the cr basis as expected")
-    ok = all(k >= 5 for (i, j), terms in cr.sparse_constants().items()
+    ok = all(k >= 5 for (i, j), terms in cr.structure_constants().items()
              if i >= 5 and j >= 5 for k, _ in terms)
     yield ("algebra.subalgebra", ok, "the non-negative part closes under brackets")
 
@@ -127,14 +131,7 @@ def _suite_torsion():
     yield ("torsion.complement", tc["complement_dim"] == 0,
            "orthogonal complement of the image is zero")
     w = tc["witnesses"]
-    from fractions import Fraction
-    want = {
-        "c1_of_B3": AlgNum.of(-1),
-        "c1_of_B4": -I,
-        "c2_of_B1": AlgNum.i(Fraction(-1, 2)),
-        "c3_of_B2": AlgNum.of(Fraction(-1, 2)),
-    }
-    ok = all(w[k] == v for k, v in want.items())
+    ok = all(w[k] == v for k, v in TORSION_WITNESSES.items())
     yield ("torsion.witnesses", ok,
            "tracked boundary components take their closed-form values")
 
@@ -187,11 +184,10 @@ def _suite_iz_comparison():
 
 
 def _suite_model():
-    one = AlgNum.of(1)
     verdicts = [
-        ((one, I, ZERO, one, -I), True),
-        ((one, ZERO, ZERO, ZERO, ZERO), False),
-        ((one, I, ZERO, one, I), False),
+        ((ONE, I, ZERO, ONE, -I), True),
+        ((ONE, ZERO, ZERO, ZERO, ZERO), False),
+        ((ONE, I, ZERO, ONE, I), False),
     ]
     ok = all(model.membership_model(p)["member"] is v for p, v in verdicts)
     yield ("model.membership", ok, "three projective verdicts are exact")
@@ -200,8 +196,8 @@ def _suite_model():
     yield ("model.levi-kernel", ok,
            "Levi kernel is the radial complex line at every sample point")
     std = liealg.build_basis("standard")
-    members = [(one, I, ZERO, one, -I), (one, -I, ZERO, one, -I),
-               (ZERO, one, I, one, -I)]
+    members = [(ONE, I, ZERO, ONE, -I), (ONE, -I, ZERO, ONE, -I),
+               (ZERO, ONE, I, ONE, -I)]
     zeros = 0
     for x in std.elements:
         for p in members:

@@ -41,13 +41,13 @@ PATTERN_VARS = {
 def bracket_coords(basis: liealg.Basis, u, v) -> list[AlgNum]:
     """Bracket of two coordinate vectors via the nonzero structure constants."""
     out = [ZERO] * liealg.DIM
-    sparse = basis.sparse_constants()
+    sc = basis.structure_constants()
     v_nz = [(j, y) for j, y in enumerate(v) if not y.is_zero()]
     for i, x in enumerate(u):
         if x.is_zero():
             continue
         for j, y in v_nz:
-            terms = sparse.get((i, j))
+            terms = sc.get((i, j))
             if terms:
                 w = x * y
                 for a, c in terms:

@@ -136,7 +136,6 @@ class Basis:
         self.elements = elements
         self._expansion = None
         self._sc = None
-        self._sparse = None
 
     def _vectorize(self, m):
         return [m[i][j] for i in range(5) for j in range(5)]
@@ -169,36 +168,27 @@ class Basis:
         return x
 
     def structure_constants(self):
-        """c[(b, c)] -> 10-vector of components of [x_b, x_c], for b < c.
-        The same pass builds the sparse view of sparse_constants()."""
-        if self._sc is None:
-            sc, sparse = {}, {}
-            for b in range(DIM):
-                for c in range(b + 1, DIM):
-                    col = tuple(self.expand(commutator(self.elements[b], self.elements[c])))
-                    sc[(b, c)] = col
-                    terms = tuple((a, x) for a, x in enumerate(col) if not x.is_zero())
-                    if terms:
-                        sparse[(b, c)] = terms
-                        sparse[(c, b)] = tuple((a, -x) for a, x in terms)
-            self._sc, self._sparse = sc, sparse
-        return self._sc
-
-    def sparse_constants(self):
         """The nonzero structure constants by ordered pair:
         (b, c) -> ((a, c^a_{bc}), ...) for every a with c^a_{bc} != 0, and
         no key for a pair whose bracket is zero (b == c included)."""
-        if self._sparse is None:
-            self.structure_constants()
-        return self._sparse
+        if self._sc is None:
+            sc = {}
+            for b in range(DIM):
+                for c in range(b + 1, DIM):
+                    col = self.expand(commutator(self.elements[b], self.elements[c]))
+                    terms = tuple((a, x) for a, x in enumerate(col) if not x.is_zero())
+                    if terms:
+                        sc[(b, c)] = terms
+                        sc[(c, b)] = tuple((a, -x) for a, x in terms)
+            self._sc = sc
+        return self._sc
 
     def c(self, a: int, b: int, c: int) -> AlgNum:
-        """Structure constant c^a_{bc} with antisymmetry in (b, c)."""
-        if b == c:
-            return ZERO
-        if b < c:
-            return self.structure_constants()[(b, c)][a]
-        return -self.structure_constants()[(c, b)][a]
+        """Structure constant c^a_{bc}, antisymmetric in (b, c)."""
+        for k, x in self.structure_constants().get((b, c), ()):
+            if k == a:
+                return x
+        return ZERO
 
 
 _BASES: dict[str, Basis] = {}
@@ -249,13 +239,13 @@ def adjoint_matrix(x_matrix):
     """ad_X as a 10x10 matrix in the f basis:
     (ad X)^a_b = sum_k x_k c^a_{kb}, with x the coordinates of X."""
     basis = build_basis("f")
-    sparse = basis.sparse_constants()
+    sc = basis.structure_constants()
     out = linalg.zeros(DIM, DIM)
     for k, xk in enumerate(basis.expand(x_matrix)):
         if xk.is_zero():
             continue
         for b in range(DIM):
-            for a, c in sparse.get((k, b), ()):
+            for a, c in sc.get((k, b), ()):
                 out[a][b] = out[a][b] + xk * c
     return out
 
@@ -271,9 +261,9 @@ def killing_form(x_matrix, y_matrix) -> AlgNum:
 def killing_matrix(basis: Basis):
     """K(x_a, x_b) = trace(ad x_a o ad x_b), with (ad x_k)^a_b = c^a_{kb}
     read off the basis's own nonzero structure constants."""
-    sparse = basis.sparse_constants()
+    sc = basis.structure_constants()
     # ads[k][(a, b)] = c^a_{kb}, nonzero entries only
-    ads = [{(a, b): c for b in range(DIM) for a, c in sparse.get((k, b), ())}
+    ads = [{(a, b): c for b in range(DIM) for a, c in sc.get((k, b), ())}
            for k in range(DIM)]
     out = linalg.zeros(DIM, DIM)
     for a in range(DIM):

@@ -81,50 +81,24 @@ def _is_index(x, n: int) -> bool:
     return type(x) is int and 0 <= x < n
 
 
-class CurvatureSymbol:
-    """A single curvature coefficient S^A_{BC}, identified by the equation
-    generator A (0..9) and the theta pair (B, C) with B < C."""
+def symbol_key(upper, pair):
+    """The key (A, (B, C)) of the curvature symbol S^A_{BC}: the equation
+    generator A (0..9) and a theta pair B < C; anything else raises ValueError."""
+    b, c = pair
+    if not (_is_index(upper, liealg.DIM) and _is_index(b, 5)
+            and _is_index(c, 5) and b < c):
+        raise ValueError(f"bad curvature slot ({upper!r}, {pair!r})")
+    return upper, (b, c)
 
-    __slots__ = ("upper", "pair")
 
-    def __init__(self, upper: int, pair):
-        b, c = pair
-        if not (_is_index(upper, liealg.DIM) and _is_index(b, 5)
-                and _is_index(c, 5) and b < c):
-            raise ValueError(f"bad curvature slot ({upper!r}, {pair!r})")
-        self.upper = upper
-        self.pair = (b, c)
-
-    @property
-    def kind(self) -> str:
-        return "T" if self.upper <= 4 else "R"
-
-    @property
-    def key(self):
-        return (self.upper, self.pair)
-
-    def conj(self):
-        """Conjugate symbol with sign: conj(S^A_{BC}) = sign * S^{A~}_{B~C~}."""
-        sign, (upper, pair) = _conj_slot(self.key)
-        return sign, CurvatureSymbol(upper, pair)
-
-    def name(self) -> str:
-        b, c = self.pair
-        return f"{self.kind}^{{{UPPER_LABELS[self.upper]}}}_{{{UPPER_LABELS[b]},{UPPER_LABELS[c]}}}"
-
-    def latex(self) -> str:
-        b, c = self.pair
-        return (f"{self.kind}^{{{UPPER_LABELS[self.upper]}}}"
-                f"_{{{UPPER_LABELS[b]}\\,{UPPER_LABELS[c]}}}")
-
-    def __eq__(self, other):
-        return isinstance(other, CurvatureSymbol) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"CurvatureSymbol({self.name()})"
+def symbol_name(key, latex: bool = False) -> str:
+    """T^{A}_{B,C} for a theta equation A, R^{A}_{B,C} for an omega one; the
+    LaTeX form separates the legs with a thin space instead of a comma."""
+    upper, (b, c) = key
+    kind = "T" if upper <= 4 else "R"
+    sep = r"\," if latex else ","
+    return (f"{kind}^{{{UPPER_LABELS[upper]}}}"
+            f"_{{{UPPER_LABELS[b]}{sep}{UPPER_LABELS[c]}}}")
 
 
 class PolyCoeff:
@@ -149,8 +123,8 @@ class PolyCoeff:
         return PolyCoeff({(): v})
 
     @staticmethod
-    def symbol(sym: CurvatureSymbol, coeff=None) -> "PolyCoeff":
-        return PolyCoeff({(sym.key,): coeff if coeff is not None else ONE})
+    def symbol(key, coeff=None) -> "PolyCoeff":
+        return PolyCoeff({(key,): coeff if coeff is not None else ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -207,7 +181,7 @@ class PolyCoeff:
         bits = []
         for mono in sorted(self.terms):
             c = self.terms[mono].serialize()
-            syms = "*".join(CurvatureSymbol(k[0], k[1]).name() for k in mono)
+            syms = "*".join(symbol_name(k) for k in mono)
             bits.append(f"({c})" + (f"*{syms}" if syms else ""))
         return " + ".join(bits)
 
@@ -268,13 +242,13 @@ def maurer_cartan_forms() -> dict[int, TwoForm]:
     """d gen^A = -1/2 c^A_{BC} gen^B ^ gen^C = sum over B < C of
     c^A_{CB} gen^B ^ gen^C, from the nonzero cr structure constants; a
     fresh dict of fresh forms on every call."""
-    sparse = liealg.build_basis("cr").sparse_constants()
+    sc = liealg.build_basis("cr").structure_constants()
     terms = {a: {} for a in range(liealg.DIM)}
-    for pair in sparse:
+    for pair in sc:
         b, c = pair
         if b < c:
             # each (A, B < C) occurs once, so no sum or sign rule is needed
-            for a, x in sparse[(c, b)]:
+            for a, x in sc[(c, b)]:
                 terms[a][pair] = PolyCoeff.const(x)
     return {a: TwoForm(t) for a, t in terms.items()}
 
@@ -337,8 +311,7 @@ class ConstraintTable:
 
     def _enter(self, slot, kind: str, rhs, provenance: str):
         """Enter a primal constraint; derive its mate with rhs sign * conj(rhs)."""
-        sym = CurvatureSymbol(*slot)
-        slot = sym.key
+        slot = symbol_key(*slot)
         tags = [provenance]
         cur = self.entries.get(slot)
         if cur is not None:
@@ -351,8 +324,7 @@ class ConstraintTable:
             if provenance not in tags:
                 tags = tags + [provenance]
         self.entries[slot] = {"kind": kind, "provenance": tags, "primal": None, "rhs": rhs}
-        sign, mate_sym = sym.conj()
-        mate = mate_sym.key
+        sign, mate = _conj_slot(slot)
         if mate != slot and mate not in self.entries:
             if rhs is not None:
                 rhs = rhs.conj() if sign > 0 else -rhs.conj()
@@ -370,7 +342,7 @@ class ConstraintTable:
         out = ConstraintTable()
         out.entries = dict(self.entries)
         out.entries.pop(primal_slot, None)
-        mate = _conj_slot(CurvatureSymbol(*primal_slot).key)[1]
+        mate = _conj_slot(symbol_key(*primal_slot))[1]
         if mate in out.entries and out.entries[mate]["primal"] == primal_slot:
             del out.entries[mate]
         return out
@@ -483,7 +455,7 @@ def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equa
             for t in item["rhs"]:
                 if type(t["constrained"]) is not bool:
                     raise ValueError(f"bad constrained flag {t['constrained']!r}")
-                rhs[CurvatureSymbol(gen, t["pair"]).pair] = t["constrained"]
+                rhs[symbol_key(gen, t["pair"])[1]] = t["constrained"]
             eqs.append(Equation(gen, mc, rhs))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad structure equations: missing or mistyped field ({exc!r})") from exc
@@ -503,7 +475,7 @@ def constraints_to_json(table: ConstraintTable) -> str:
         e = table.entries[slot]
         item = {
             "slot": [slot[0], slot[1][0], slot[1][1]],
-            "symbol": CurvatureSymbol(slot[0], slot[1]).name(),
+            "symbol": symbol_name(slot),
             "kind": e["kind"],
             "provenance": list(e["provenance"]),
         }
@@ -554,7 +526,7 @@ def load_constraints(text: str) -> ConstraintTable:
             rhs = PolyCoeff()
             for term in rel["rhs"]:
                 coeff = AlgNum.deserialize(term["coeff"])
-                mono = tuple(CurvatureSymbol(*_json_slot(sym, f"relation {name!r}")).key
+                mono = tuple(symbol_key(*_json_slot(sym, f"relation {name!r}"))
                              for sym in term["symbols"])
                 rhs = rhs + PolyCoeff({mono: coeff})
             table.add_relation(_json_slot(rel["slot"], f"relation {name!r}"), rhs, name)
@@ -635,9 +607,9 @@ def equations_to_latex(eqs: list[Equation]) -> str:
         else:
             bits = []
             for (b, c), constrained in sorted(eq.rhs.items()):
-                sym = CurvatureSymbol(eq.generator, (b, c))
+                sym = symbol_name((eq.generator, (b, c)), latex=True)
                 mark = "^{\\sharp}" if constrained else ""
-                bits.append(f"{sym.latex()}{mark}\\,"
+                bits.append(f"{sym}{mark}\\,"
                             f"{GENERATOR_LATEX[b]}\\wedge {GENERATOR_LATEX[c]}")
             rhs = " + ".join(bits)
         lines.append(f"{lhs} = {rhs}")
@@ -648,12 +620,12 @@ def constraints_to_latex(table: ConstraintTable) -> str:
     lines = []
     for slot in sorted(table.entries):
         e = table.entries[slot]
-        sym = CurvatureSymbol(slot[0], slot[1])
+        sym = symbol_name(slot, latex=True)
         prov = ", ".join(e["provenance"])
         if e["kind"] == "zero":
-            lines.append(f"{sym.latex()} = 0 \\quad\\text{{[{prov}]}}")
+            lines.append(f"{sym} = 0 \\quad\\text{{[{prov}]}}")
         else:
-            lines.append(f"{sym.latex()} \\;\\text{{constrained}} "
+            lines.append(f"{sym} \\;\\text{{constrained}} "
                          f"\\quad\\text{{[{prov}]}}")
     return "\\begin{gathered}\n" + " \\\\\n".join(lines) + "\n\\end{gathered}\n"
 
@@ -664,8 +636,8 @@ def constraints_to_latex(table: ConstraintTable) -> str:
 # symbols are carried along.  Generator 10 is the formal differential of
 # the conjugated torsion symbol.
 
-T_SYMBOL = CurvatureSymbol(1, (0, 3))     # T^{-1(10)}_{-2,0(10)}
-S_SYMBOL = CurvatureSymbol(1, (0, 4))     # T^{-1(10)}_{-2,0(01)}
+T_SYMBOL = (1, (0, 3))     # T^{-1(10)}_{-2,0(10)}
+S_SYMBOL = (1, (0, 4))     # T^{-1(10)}_{-2,0(01)}
 DT_BAR_GENERATOR = 10
 
 
@@ -680,10 +652,10 @@ def verify_iz_change_of_frame(include_torsion: bool = True) -> dict:
     """
     t = PolyCoeff.symbol(T_SYMBOL)
     s = PolyCoeff.symbol(S_SYMBOL)
-    _, tbar_sym = T_SYMBOL.conj()
-    _, sbar_sym = S_SYMBOL.conj()
-    tbar = PolyCoeff.symbol(tbar_sym)
-    sbar = PolyCoeff.symbol(sbar_sym)
+    _, tbar_key = _conj_slot(T_SYMBOL)
+    _, sbar_key = _conj_slot(S_SYMBOL)
+    tbar = PolyCoeff.symbol(tbar_key)
+    sbar = PolyCoeff.symbol(sbar_key)
 
     rules = maurer_cartan_forms()
     if include_torsion:
@@ -691,7 +663,7 @@ def verify_iz_change_of_frame(include_torsion: bool = True) -> dict:
         r2 = rules[2] + TwoForm({(0, 4): tbar, (0, 3): sbar})
         rules = {**rules, 1: r1, 2: r2}
     rules[DT_BAR_GENERATOR] = TwoForm()
-    diff_map = {tbar_sym.key: DT_BAR_GENERATOR}
+    diff_map = {tbar_key: DT_BAR_GENERATOR}
 
     c = PolyCoeff.const
     om = {0: c(AlgNum.i(-2))}                                   # -2i th^{-2}

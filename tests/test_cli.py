@@ -70,6 +70,26 @@ def test_benchmark_span_targets_resolve():
         assert callable(vars(obj).get(attr.value)), ast.unparse(entry)
 
 
+def test_benchmark_calls_resolve_and_hold(monkeypatch):
+    # one seeded library round runs the public calls the benchmark makes and
+    # checks each result; the suite functions its traced run wraps by name
+    # are read from the source of bench/layers.py
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    inputs = importlib.import_module("inputs")
+    library = importlib.import_module("library")
+    session = library.Session(ROOT, inputs.generate(1))
+    results, _ = library.run_round(session)
+    ok = library.check_round(session, results)
+    assert ok and all(ok.values()), sorted(k for k, v in ok.items() if not v)
+    tree = ast.parse((ROOT / "bench" / "layers.py").read_text())
+    funcs = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["SUITE_FUNCS"])
+    names = ast.literal_eval(funcs.args[0].args[1])
+    assert len(names) == 7
+    for name in names:
+        assert callable(getattr(cli, name, None)), name
+
+
 def test_json_report_is_byte_identical(capsys):
     assert cli.main(["--suite", "killing", "--json"]) == 0
     first = capsys.readouterr().out

