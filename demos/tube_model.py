@@ -1,7 +1,7 @@
 """The projective model hypersurface and the tube over the light cone."""
 
 from cartancr import liealg, model
-from cartancr.numfield import AlgNum, ZERO, ONE, I
+from cartancr.numfield import ZERO, ONE, I
 
 
 def main():

@@ -105,7 +105,8 @@ def _suite_killing():
 
 
 def _suite_kernels():
-    dims = {d: cohomology.codifferential_kernel(d)["dim"] for d in (1, 2, 3)}
+    kernels = {d: cohomology.codifferential_kernel(d) for d in (1, 2, 3)}
+    dims = {d: k["dim"] for d, k in kernels.items()}
     yield ("kernels.dims", dims == {1: 0, 2: 1, 3: 6},
            f"computed kernel dimensions by shifting degree: {dims}")
     yield ("kernels.degree1.columns", cohomology.degree1_columns_check(),
@@ -113,13 +114,12 @@ def _suite_kernels():
     chk = cohomology.degree2_system_check()
     yield ("kernels.degree2.printed-system", chk["match"],
            "assembled rows reproduce the displayed 8x8 system exactly")
-    res3 = cohomology.codifferential_kernel(3)
     ok = all(all(r.is_zero() for r in cohomology.degree3_reduced_residuals(v))
-             for v in res3["kernel"])
+             for v in kernels[3]["kernel"])
     yield ("kernels.degree3.reduced-relations", ok,
            "all kernel vectors satisfy the four reduced relations")
     ok = all(cohomology.kernel_to_cr_components(v).relations_hold()
-             for v in res3["kernel"])
+             for v in kernels[3]["kernel"])
     yield ("kernels.degree3.component-relations", ok,
            "converted components satisfy both linear relations and conjugates")
 

@@ -20,21 +20,24 @@ from fractions import Fraction
 from . import liealg, linalg
 from .numfield import AlgNum, ZERO, ONE, I, HALF, SQRT2
 
-# hat duality: f-hat_b = f_{sigma(b)}, f^a = eps_a <f-hat_a, .>  (0-based)
+# hat duality: f-hat_b = f_{sigma(b)}, f^a = eps_a <f-hat_a, .>  (0-based);
+# literal, since deriving them from killing_matrix would build the f
+# structure constants at import; killing.hat-pairing checks them
 SIGMA = (9, 7, 8, 3, 4, 5, 6, 1, 2, 0)
 EPS = (1, 1, 1, 1, 1, 1, -1, 1, 1, 1)
 
 # leg pairs on m_minus, keyed by the printed subscript
 LEG_PAIRS = {"12": (0, 1), "13": (0, 2), "23": (1, 2)}
 
-# variables tau^a_{bc} present at each shifting degree (a is 1-based)
+# variables tau^a_{bc} present at each shifting degree d (a is 1-based):
+# every deg a = deg b + deg c + d, leg pairs in LEG_PAIRS order.  The
+# shifts are listed, not derived: shift 4 would be nonempty, and the
+# computation covers shifts 1..3 only.
 PATTERN_VARS = {
-    1: ((1, "12"), (1, "13"), (2, "23"), (3, "23")),
-    2: ((2, "12"), (3, "12"), (2, "13"), (3, "13"),
-        (4, "23"), (5, "23"), (6, "23"), (7, "23")),
-    3: ((4, "12"), (5, "12"), (6, "12"), (7, "12"),
-        (4, "13"), (5, "13"), (6, "13"), (7, "13"),
-        (8, "23"), (9, "23")),
+    shift: tuple((a + 1, pair) for pair, (b, c) in LEG_PAIRS.items()
+                 for a in range(liealg.DIM)
+                 if liealg.DEGREES[a] == liealg.DEGREES[b] + liealg.DEGREES[c] + shift)
+    for shift in (1, 2, 3)
 }
 
 
@@ -130,15 +133,9 @@ def codifferential_kernel(shift: int) -> dict:
     }
 
 
-def _inv_sqrt(n: int, den: int = 1) -> AlgNum:
-    # 1/(den*sqrt(n)) for n in {2, 3, 6}
-    ctor = {2: AlgNum.sqrt2, 3: AlgNum.sqrt3, 6: AlgNum.sqrt6}[n]
-    return ctor(Fraction(1, n * den))
-
-
 # the closed-form linear system satisfied by shifting-degree-2 candidates,
 # one row per subject variable, columns in PATTERN_VARS[2] order
-_R2 = _inv_sqrt(2)
+_R2 = AlgNum.sqrt2(Fraction(1, 2))          # 1/sqrt2
 PRINTED_DEGREE2_SYSTEM = (
     ((3, "12"), {(3, "12"): ONE, (5, "23"): -_R2, (7, "23"): -_R2}),
     ((2, "12"), {(2, "12"): ONE, (4, "23"): -_R2, (6, "23"): _R2}),
@@ -182,9 +179,9 @@ def degree2_system_check() -> dict:
 
 # closed-form columns of the shifting-degree-1 pairing matrix, keyed by
 # variable, as {(a, b) row label: coefficient}
-_R3 = _inv_sqrt(3)
-_R32 = _inv_sqrt(3, 2)
-_R6 = _inv_sqrt(6)
+_R3 = AlgNum.sqrt3(Fraction(1, 3))          # 1/sqrt3
+_R32 = AlgNum.sqrt3(Fraction(1, 6))         # 1/(2 sqrt3)
+_R6 = AlgNum.sqrt6(Fraction(1, 6))          # 1/sqrt6
 PRINTED_DEGREE1_COLUMNS = {
     (1, "12"): {(6, 8): -_R3, (9, 10): _R6},
     (1, "13"): {(6, 9): -_R3, (8, 10): -_R6},
@@ -260,22 +257,19 @@ def kernel_to_cr_components(vec: dict) -> CurvatureComponents:
     return CurvatureComponents(t10, t01, r10, r01, r1)
 
 
-# generators of the deformation space l^1, as cochains m -> g in cr
-# coordinates (0-based)
-_L1_IMAGES = (
-    {0: {1: ONE, 2: ONE}},
-    {0: {1: I, 2: -I}},
-    {1: {3: ONE, 6: -ONE}, 2: {4: ONE, 5: -ONE}},
-    {1: {3: I, 6: -I}, 2: {4: -I, 5: I}},
-    {1: {3: I, 6: I}, 2: {4: -I, 5: -I}},
-    {1: {3: ONE, 6: ONE}, 2: {4: -ONE, 5: -ONE}},
-    {1: {5: ONE, 6: ONE}, 2: {5: ONE, 6: ONE}},
-    {1: {5: I, 6: I}, 2: {5: -I, 6: -I}},
-)
-
-
 def l1_generators() -> list[dict]:
-    return [{s: dict(img) for s, img in gen.items()} for gen in _L1_IMAGES]
+    """Generators of the deformation space l^1, as cochains m -> g in cr
+    coordinates (0-based); fresh dicts on every call."""
+    return [
+        {0: {1: ONE, 2: ONE}},
+        {0: {1: I, 2: -I}},
+        {1: {3: ONE, 6: -ONE}, 2: {4: ONE, 5: -ONE}},
+        {1: {3: I, 6: -I}, 2: {4: -I, 5: I}},
+        {1: {3: I, 6: I}, 2: {4: -I, 5: -I}},
+        {1: {3: ONE, 6: ONE}, 2: {4: -ONE, 5: -ONE}},
+        {1: {5: ONE, 6: ONE}, 2: {5: ONE, 6: ONE}},
+        {1: {5: I, 6: I}, 2: {5: -I, 6: -I}},
+    ]
 
 
 def l1_boundary_components(gen: dict):
@@ -296,11 +290,10 @@ def torsion_complement() -> dict:
     for c1, c2, _ in comps:
         rows.append([AlgNum(re=c1.re), AlgNum(re=c1.im),
                      AlgNum(re=c2.re), AlgNum(re=c2.im)])
-    rk = linalg.rank(rows)
     comp = linalg.nullspace(rows)   # vectors orthogonal to every image row
     return {
         "matrix": rows,
-        "rank": rk,
+        "rank": 4 - len(comp),
         "complement_dim": len(comp),
         "components": comps,
         "witnesses": {

@@ -109,22 +109,13 @@ def _build_f():
     cr = _build_cr()
     inv_r6 = AlgNum.sqrt6(Fraction(1, 6))          # 1/sqrt6
     inv_r12 = AlgNum.sqrt3(Fraction(1, 6))         # 1/sqrt12 = sqrt3/6
-    def comb(c, a, b=None, minus=False):
-        if b is None:
-            return mat_scale(c, a)
-        return mat_scale(c, (mat_sub if minus else mat_add)(a, b))
-    return [
-        comb(inv_r6, cr[0]),
-        comb(inv_r6, cr[1], cr[2]),
-        comb(I * inv_r6, cr[1], cr[2], minus=True),
-        comb(inv_r12, cr[3], cr[4]),
-        comb(I * inv_r12, cr[3], cr[4], minus=True),
-        comb(inv_r12, cr[5], cr[6]),
-        comb(I * inv_r12, cr[5], cr[6], minus=True),
-        comb(inv_r6, cr[7], cr[8]),
-        comb(I * inv_r6, cr[7], cr[8], minus=True),
-        comb(inv_r6, cr[9]),
-    ]
+    f = [mat_scale(inv_r6, cr[0])]
+    # a conjugate pair X(10), X(01) gives s(X(10) + X(01)), i s(X(10) - X(01))
+    for k, s in ((1, inv_r6), (3, inv_r12), (5, inv_r12), (7, inv_r6)):
+        f += [mat_scale(s, mat_add(cr[k], cr[k + 1])),
+              mat_scale(I * s, mat_sub(cr[k], cr[k + 1]))]
+    f.append(mat_scale(inv_r6, cr[9]))
+    return f
 
 
 class Basis:
@@ -278,18 +269,13 @@ def change_of_basis(frm: Basis, to: Basis):
     return [[cols[j][i] for j in range(DIM)] for i in range(DIM)]
 
 
-def _congruence():
-    # hyperbolic-pair columns relating diag(1,1,1,-1,-1) coordinates to the
-    # anti-diagonal form: S^T I32 S = CalI exactly
-    h = AlgNum.sqrt2(Fraction(1, 2))    # 1/sqrt2
-    cols = [
-        [h, ZERO, ZERO, h, ZERO],
-        [ZERO, h, ZERO, ZERO, h],
-        [ZERO, ZERO, ONE, ZERO, ZERO],
-        [ZERO, h, ZERO, ZERO, -h],
-        [h, ZERO, ZERO, -h, ZERO],
-    ]
-    return [[cols[j][i] for j in range(5)] for i in range(5)]
-
-
-CONGRUENCE_S = _congruence()
+# hyperbolic-pair matrix relating diag(1,1,1,-1,-1) coordinates to the
+# anti-diagonal form: S^T I32 S = CalI exactly
+_H = AlgNum.sqrt2(Fraction(1, 2))    # 1/sqrt2
+CONGRUENCE_S = [
+    [_H, ZERO, ZERO, ZERO, _H],
+    [ZERO, _H, ZERO, _H, ZERO],
+    [ZERO, ZERO, ONE, ZERO, ZERO],
+    [_H, ZERO, ZERO, ZERO, -_H],
+    [ZERO, _H, ZERO, -_H, ZERO],
+]

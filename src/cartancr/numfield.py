@@ -13,6 +13,7 @@ operand or its negative.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import neg
@@ -31,6 +32,11 @@ _RADICAL_MUL = (
 )
 
 _RADICAL_FLOAT = (1.0, 2 ** 0.5, 3 ** 0.5, 6 ** 0.5)
+
+# one term of a serialized part: a sign, then q, q*rK or rK, with q digits
+# or digits/digits; the first term has no sign or "-", every later one a sign
+_TERM = re.compile(r"([+-]?)(?:([0-9]+(?:/[0-9]+)?)(?:\*r([236]))?|r([236]))")
+_TERM_INDEX = {None: _ONE, "2": _R2, "3": _R3, "6": _R6}
 
 Rat = Union[int, Fraction]
 
@@ -282,17 +288,16 @@ class AlgNum:
 
     @staticmethod
     def deserialize(text: str) -> "AlgNum":
-        """Inverse of serialize; malformed text raises ValueError, a value
-        that is not a str TypeError."""
+        """Inverse of serialize, reading only the grammar it writes; other
+        text raises ValueError, a value that is not a str TypeError."""
         if not isinstance(text, str):
             raise TypeError(f"AlgNum text must be a str, not {type(text).__name__}")
-        text = text.replace(" ", "")
         re_s, sep, im_s = text.partition("+i*(")
         if sep and not im_s.endswith(")"):
             raise ValueError(f"malformed AlgNum text: {text!r}")
         try:
-            im = _parse_radical(im_s[:-1]) if sep else (0, 0, 0, 0)
-            return AlgNum(_parse_radical(re_s), im)
+            im = _parse_radical(im_s[:-1], text) if sep else (0, 0, 0, 0)
+            return AlgNum(_parse_radical(re_s, text), im)
         except ZeroDivisionError as exc:
             raise ValueError(f"malformed AlgNum text: {text!r}") from exc
 
@@ -300,35 +305,20 @@ class AlgNum:
         return f"AlgNum({self.serialize()})"
 
 
-def _parse_radical(text: str) -> tuple:
+def _parse_radical(part: str, text: str) -> tuple:
+    """The four coordinates of one part of the serialized text; a part that
+    is not a sequence of _TERM terms raises ValueError naming the text."""
     coords = [Fraction(0)] * 4
-    # serialize writes a zero part as "0"; an empty part is malformed
-    if text == "0":
-        return tuple(coords)
-    # split into signed terms
-    terms, cur = [], ""
-    for ch in text:
-        if ch in "+-" and cur and cur[-1] not in "+-*/":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    index = {"": _ONE, "r2": _R2, "r3": _R3, "r6": _R6}
-    for term in terms:
-        if term in ("+", "-", ""):
+    pos = 0
+    while True:
+        m = _TERM.match(part, pos)
+        if m is None or m[1] == ("" if pos else "+"):
             raise ValueError(f"malformed AlgNum text: {text!r}")
-        if "*" in term:
-            coef, lab = term.split("*")
-            if lab not in ("r2", "r3", "r6"):
-                raise ValueError(f"malformed AlgNum text: {text!r}")
-            coords[index[lab]] += Fraction(coef)
-        elif term.lstrip("+-") in ("r2", "r3", "r6"):
-            sign = -1 if term.startswith("-") else 1
-            coords[index[term.lstrip("+-")]] += sign
-        else:
-            coords[_ONE] += Fraction(term)
-    return tuple(coords)
+        sign, q, label, bare = m.groups()
+        coords[_TERM_INDEX[label or bare]] += Fraction(sign + (q or "1"))
+        pos = m.end()
+        if pos == len(part):
+            return tuple(coords)
 
 
 def _surd_sign(p: int, q: int, norm: int) -> int:

@@ -253,42 +253,44 @@ def maurer_cartan_forms() -> dict[int, TwoForm]:
     return {a: TwoForm(t) for a, t in terms.items()}
 
 
-def _exterior_derivative(form: dict, rules: dict, diff_map: dict) -> dict:
+def _exterior_derivative(form: dict, rules: dict) -> dict:
     """d of a symbolic form {sorted generator tuple: PolyCoeff} of any degree.
 
     d(f gen^{g_0} ^ ... ^ gen^{g_k}) = df ^ gen^{g_0} ^ ... ^ gen^{g_k}
         + f * sum_m (-1)^m gen^{g_0} ^ ... ^ d gen^{g_m} ^ ... ^ gen^{g_k},
-    with df read off diff_map and d gen^g = rules[g].
+    with d gen^g = rules[g] a TwoForm and dS = rules[S] a 1-form
+    {generator: PolyCoeff} for a curvature symbol key S.
     """
     out = {}
     for gens, poly in form.items():
         for mono, coeff in poly.terms.items():
             for pos, key in enumerate(mono):
-                if key in diff_map:
-                    rest = mono[:pos] + mono[pos + 1:]
-                    _add_wedge(out, (diff_map[key],) + gens, PolyCoeff({rest: coeff}), 1)
+                if key in rules:
+                    rest = PolyCoeff({mono[:pos] + mono[pos + 1:]: coeff})
+                    for g, q in rules[key].items():
+                        _add_wedge(out, (g,) + gens, rest * q, 1)
         for m, g in enumerate(gens):
             for pair, q in rules[g].terms.items():
                 _add_wedge(out, gens[:m] + pair + gens[m + 1:], poly * q, (-1) ** m)
     return out
 
 
-def exterior_derivative(one_form: dict, rules: dict, diff_map=None) -> TwoForm:
+def exterior_derivative(one_form: dict, rules: dict) -> TwoForm:
     """d of a symbolic 1-form {gen: PolyCoeff}.
 
     rules[g] must give d(gen g) as a TwoForm for every generator used; a
-    missing rule raises KeyError.  diff_map sends a symbol key to the
-    generator index representing its formal differential; symbols not
-    listed are treated as closed.
+    missing rule raises KeyError.  rules[S] gives the differential of a
+    curvature symbol key S as a 1-form {gen: PolyCoeff}; a symbol with no
+    entry is closed.
     """
     return TwoForm(_exterior_derivative({(g,): poly for g, poly in one_form.items()},
-                                        rules, diff_map or {}))
+                                        rules))
 
 
-def exterior_derivative_two_form(tf: TwoForm, rules: dict, diff_map=None) -> dict:
+def exterior_derivative_two_form(tf: TwoForm, rules: dict) -> dict:
     """d of a symbolic 2-form, as {(i, j, k) sorted: PolyCoeff}.  Used to
     verify d o d = 0 on the coframe."""
-    return _exterior_derivative(tf.terms, rules, diff_map or {})
+    return _exterior_derivative(tf.terms, rules)
 
 
 class ConstraintTable:
@@ -663,7 +665,7 @@ def verify_iz_change_of_frame(include_torsion: bool = True) -> dict:
         r2 = rules[2] + TwoForm({(0, 4): tbar, (0, 3): sbar})
         rules = {**rules, 1: r1, 2: r2}
     rules[DT_BAR_GENERATOR] = TwoForm()
-    diff_map = {tbar_key: DT_BAR_GENERATOR}
+    rules[tbar_key] = {DT_BAR_GENERATOR: PolyCoeff.const(1)}
 
     c = PolyCoeff.const
     om = {0: c(AlgNum.i(-2))}                                   # -2i th^{-2}
@@ -681,8 +683,8 @@ def verify_iz_change_of_frame(include_torsion: bool = True) -> dict:
         DT_BAR_GENERATOR: c(AlgNum.i(Fraction(-1, 2))),
     }
 
-    d_om = exterior_derivative(om, rules, diff_map)
-    d_om1 = exterior_derivative(om1, rules, diff_map)
+    d_om = exterior_derivative(om, rules)
+    d_om1 = exterior_derivative(om1, rules)
 
     residual_11 = d_om + wedge(om1, om1bar) + wedge(om, phi2) + wedge(om, phi2bar)
     residual_12 = d_om1 - wedge(theta2, om1bar) + wedge(om1, phi2) + wedge(om, phi1)

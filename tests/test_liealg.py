@@ -163,16 +163,6 @@ def test_cr_structure_constants_reality():
                 assert lhs == rhs
 
 
-def test_killing_matrix_on_f_basis():
-    km = killing_matrix(build_basis("f"))
-    want = {(0, 9): ONE, (1, 7): ONE, (2, 8): ONE,
-            (3, 3): ONE, (4, 4): ONE, (5, 5): ONE, (6, 6): -ONE}
-    for i in range(DIM):
-        for j in range(DIM):
-            expect = want.get((i, j)) or want.get((j, i)) or ZERO
-            assert km[i][j] == expect
-
-
 def _trace3(x, y):
     # 3 tr(xy), the Killing form of so(3,2) from the 5x5 matrices alone
     prod = linalg.mat_mul(x, y)

@@ -74,16 +74,6 @@ def test_infinitesimal_action_requires_membership():
     assert len(vel) == 5
 
 
-def test_tangency_defects_vanish_for_all_sixty():
-    zeros = 0
-    for x in liealg.build_basis("standard").elements:
-        for p in MEMBERS:
-            d_sym, d_herm = model.tangency_defects(x, p)
-            assert d_sym.is_zero() and d_herm.is_zero()
-            zeros += 2
-    assert zeros == 60
-
-
 def test_tangency_defects_detect_non_algebra_flows():
     bad = linalg.zeros(5, 5)
     bad[0][0] = ONE     # not in the algebra

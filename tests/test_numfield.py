@@ -305,7 +305,8 @@ def test_deserialize_raises_value_error_or_round_trips(text):
 
 @pytest.mark.parametrize("text", ["1*r7", "i*(1)", "1+i*(2", "1*", "r5",
                                   "1/0", "1+i*(2))", "1+i*(2)+i*(3)",
-                                  "", "1+i*()", "+i*(1)"])
+                                  "", "1+i*()", "+i*(1)", "1.5", "1e3",
+                                  "2.5*r3", "1_000", "+1", "1 2", "1r2"])
 def test_deserialize_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         AlgNum.deserialize(text)

@@ -244,14 +244,26 @@ _TBAR_POLYS = st.lists(st.builds(AlgNum.from_complex_rat, st.integers(-3, 3),
     lambda cs: PolyCoeff({(_TBAR,) * k: c for k, c in enumerate(cs)}))
 
 
-@given(st.dictionaries(st.integers(0, 10), _TBAR_POLYS, max_size=4))
+@given(st.dictionaries(st.integers(0, 11), _TBAR_POLYS, max_size=4))
 def test_d_squared_is_zero_on_symbolic_one_forms(one_form):
-    # the frame-change setting: generator 10 is the formal differential of
-    # the conjugate torsion symbol, and it is closed
-    rules = {**maurer_cartan_forms(), 10: TwoForm()}
-    diff_map = {_TBAR: 10}
-    d_form = exterior_derivative(one_form, rules, diff_map)
-    assert exterior_derivative_two_form(d_form, rules, diff_map) == {}
+    # the frame-change setting, widened: the conjugate torsion symbol has
+    # the differential gen^10 + 2i gen^11, both closed formal generators
+    rules = {**maurer_cartan_forms(), 10: TwoForm(), 11: TwoForm(),
+             _TBAR: {10: PolyCoeff.const(ONE), 11: PolyCoeff.const(AlgNum.i(2))}}
+    d_form = exterior_derivative(one_form, rules)
+    assert exterior_derivative_two_form(d_form, rules) == {}
+
+
+def test_exterior_derivative_of_a_symbol_coefficient():
+    # d(S th^{-2}) = dS ^ th^{-2} + S d th^{-2} with dS = a om^{0(10)} + b th^{0(10)}
+    a, b = AlgNum.of(3), I * HALF
+    s = PolyCoeff.symbol(T_SYMBOL)
+    rules = {**maurer_cartan_forms(),
+             T_SYMBOL: {5: PolyCoeff.const(a), 3: PolyCoeff.const(b)}}
+    got = exterior_derivative({0: s}, rules)
+    # d th^{-2} = -th^{-2}^om^{0(10)} - th^{-2}^om^{0(01)} - i/2 th^{-1(10)}^th^{-1(01)}
+    assert got == TwoForm({(0, 5): PolyCoeff.const(-a) - s, (0, 3): PolyCoeff.const(-b),
+                           (0, 6): -s, (1, 2): s * MI2})
 
 
 def test_exterior_derivative_requires_rules():
