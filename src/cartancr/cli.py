@@ -280,9 +280,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cartancr",
         description="exact verification suites for the girdled CR model algebra")
-    parser.add_argument("--suite", choices=SUITES,
+    action = parser.add_mutually_exclusive_group()
+    action.add_argument("--suite", choices=SUITES,
                         help="run a verification suite (default: all)")
-    parser.add_argument("--emit", choices=EMITS, help="emit an artifact instead")
+    action.add_argument("--emit", choices=EMITS, help="emit an artifact instead")
     parser.add_argument("--format", choices=("latex", "json"), default="latex",
                         help="artifact format for --emit")
     parser.add_argument("--out", type=Path, help="write output to a file")

@@ -288,18 +288,20 @@ class AlgNum:
 
     @staticmethod
     def deserialize(text: str) -> "AlgNum":
-        """Inverse of serialize, reading only the grammar it writes; other
-        text raises ValueError, a value that is not a str TypeError."""
+        """Inverse of serialize: only text that serialize writes back
+        unchanged is read, other text raises ValueError, a value that is not
+        a str TypeError."""
         if not isinstance(text, str):
             raise TypeError(f"AlgNum text must be a str, not {type(text).__name__}")
         re_s, sep, im_s = text.partition("+i*(")
-        if sep and not im_s.endswith(")"):
-            raise ValueError(f"malformed AlgNum text: {text!r}")
         try:
             im = _parse_radical(im_s[:-1], text) if sep else (0, 0, 0, 0)
-            return AlgNum(_parse_radical(re_s, text), im)
+            x = AlgNum(_parse_radical(re_s, text), im)
         except ZeroDivisionError as exc:
             raise ValueError(f"malformed AlgNum text: {text!r}") from exc
+        if x.serialize() != text:
+            raise ValueError(f"malformed AlgNum text: {text!r}")
+        return x
 
     def __repr__(self):
         return f"AlgNum({self.serialize()})"
@@ -312,7 +314,7 @@ def _parse_radical(part: str, text: str) -> tuple:
     pos = 0
     while True:
         m = _TERM.match(part, pos)
-        if m is None or m[1] == ("" if pos else "+"):
+        if m is None:
             raise ValueError(f"malformed AlgNum text: {text!r}")
         sign, q, label, bare = m.groups()
         coords[_TERM_INDEX[label or bare]] += Fraction(sign + (q or "1"))

@@ -70,13 +70,6 @@ def _accumulate(terms: dict, key, value):
         terms[key] = s
 
 
-def _add_wedge(terms: dict, gens: tuple, poly: PolyCoeff, sign: int):
-    """terms += sign * poly gen^{gens[0]} ^ gen^{gens[1]} ^ ... in sorted keys."""
-    s, key = _wedge_sign(gens)
-    if s and not poly.is_zero():
-        _accumulate(terms, key, poly if s == sign else -poly)
-
-
 def _is_index(x, n: int) -> bool:
     return type(x) is int and 0 <= x < n
 
@@ -111,11 +104,8 @@ class PolyCoeff:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not coeff.is_zero():
-                    self.terms[tuple(sorted(mono))] = coeff
+        self.terms = {tuple(sorted(mono)): coeff for mono, coeff in terms.items()
+                      if not coeff.is_zero()} if terms else {}
 
     @staticmethod
     def const(value) -> "PolyCoeff":
@@ -146,11 +136,7 @@ class PolyCoeff:
 
     def __mul__(self, other):
         if isinstance(other, AlgNum):
-            if other.is_zero():
-                return PolyCoeff()
-            p = PolyCoeff()
-            p.terms = {m: c * other for m, c in self.terms.items()}
-            return p
+            return PolyCoeff({m: c * other for m, c in self.terms.items()})
         out = PolyCoeff()
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -189,56 +175,86 @@ class PolyCoeff:
         return f"PolyCoeff({self.name()})"
 
 
-class TwoForm:
-    """Exact symbolic 2-form: {(i, j) with i < j: PolyCoeff} over a list of
-    1-form generators (coframe indices plus any formal extras)."""
+class Form:
+    """Exact symbolic exterior form of any degree: {sorted generator tuple:
+    PolyCoeff} over coframe indices plus any formal extra generators.
+
+    The constructor drops zero coefficients and trusts its keys to be
+    sorted; add is the one place a wedge of generators is put in order.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for pair, poly in terms.items():
-                if not poly.is_zero():
-                    self.terms[pair] = poly
+        self.terms = {gens: poly for gens, poly in terms.items()
+                      if not poly.is_zero()} if terms else {}
 
-    def add_term(self, i: int, j: int, poly: PolyCoeff):
-        _add_wedge(self.terms, (i, j), poly, 1)
+    def add(self, gens: tuple, poly: PolyCoeff, sign: int = 1):
+        """self += sign * poly gen^{gens[0]} ^ gen^{gens[1]} ^ ..."""
+        s, key = _wedge_sign(gens)
+        if s and not poly.is_zero():
+            _accumulate(self.terms, key, poly if s == sign else -poly)
 
     def __add__(self, other):
-        out = TwoForm(self.terms)
-        for (i, j), poly in other.terms.items():
-            out.add_term(i, j, poly)
+        out = Form(self.terms)
+        for gens, poly in other.terms.items():
+            _accumulate(out.terms, gens, poly)
         return out
 
     def __sub__(self, other):
-        return self + TwoForm({p: -poly for p, poly in other.terms.items()})
+        return self + Form({gens: -poly for gens, poly in other.terms.items()})
+
+    def wedge(self, other) -> "Form":
+        out = Form()
+        for g, p in self.terms.items():
+            for h, q in other.terms.items():
+                out.add(g + h, p * q)
+        return out
+
+    def d(self, rules: dict) -> "Form":
+        """d(f gen^{g_0} ^ ... ^ gen^{g_k}) = df ^ gen^{g_0} ^ ... ^ gen^{g_k}
+            + f * sum_m (-1)^m gen^{g_0} ^ ... ^ d gen^{g_m} ^ ... ^ gen^{g_k}.
+
+        rules[g] is d gen^g as a 2-form for every generator used; a missing
+        rule raises KeyError.  rules[S] is dS as a 1-form for a curvature
+        symbol key S; a symbol with no entry is closed.
+        """
+        out = Form()
+        for gens, poly in self.terms.items():
+            for mono, coeff in poly.terms.items():
+                for pos, key in enumerate(mono):
+                    if key in rules:
+                        rest = PolyCoeff({mono[:pos] + mono[pos + 1:]: coeff})
+                        for g, q in rules[key].terms.items():
+                            out.add(g + gens, rest * q)
+            for m, g in enumerate(gens):
+                for pair, q in rules[g].terms.items():
+                    out.add(gens[:m] + pair + gens[m + 1:], poly * q, (-1) ** m)
+        return out
+
+    def conj(self) -> "Form":
+        """The reality involution: generators by CONJ_GEN, coefficients by
+        PolyCoeff.conj."""
+        out = Form()
+        for gens, poly in self.terms.items():
+            out.add(tuple(CONJ_GEN[g] for g in gens), poly.conj())
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, TwoForm) and self.terms == other.terms
+        return isinstance(other, Form) and self.terms == other.terms
 
     def name(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"[{self.terms[p].name()}] g{p[0]}^g{p[1]}"
-                          for p in sorted(self.terms))
+        return " + ".join(f"[{self.terms[gens].name()}] "
+                          + "^".join(f"g{g}" for g in gens)
+                          for gens in sorted(self.terms))
 
 
-def wedge(a: dict, b: dict) -> TwoForm:
-    """Wedge of two 1-forms given as {generator index: PolyCoeff}."""
-    out = TwoForm()
-    for g, fa in a.items():
-        for h, fb in b.items():
-            if g == h:
-                continue
-            out.add_term(g, h, fa * fb)
-    return out
-
-
-def maurer_cartan_forms() -> dict[int, TwoForm]:
+def maurer_cartan_forms() -> dict[int, Form]:
     """d gen^A = -1/2 c^A_{BC} gen^B ^ gen^C = sum over B < C of
     c^A_{CB} gen^B ^ gen^C, from the nonzero cr structure constants; a
     fresh dict of fresh forms on every call."""
@@ -250,47 +266,12 @@ def maurer_cartan_forms() -> dict[int, TwoForm]:
             # each (A, B < C) occurs once, so no sum or sign rule is needed
             for a, x in sc[(c, b)]:
                 terms[a][pair] = PolyCoeff.const(x)
-    return {a: TwoForm(t) for a, t in terms.items()}
+    return {a: Form(t) for a, t in terms.items()}
 
 
-def _exterior_derivative(form: dict, rules: dict) -> dict:
-    """d of a symbolic form {sorted generator tuple: PolyCoeff} of any degree.
-
-    d(f gen^{g_0} ^ ... ^ gen^{g_k}) = df ^ gen^{g_0} ^ ... ^ gen^{g_k}
-        + f * sum_m (-1)^m gen^{g_0} ^ ... ^ d gen^{g_m} ^ ... ^ gen^{g_k},
-    with d gen^g = rules[g] a TwoForm and dS = rules[S] a 1-form
-    {generator: PolyCoeff} for a curvature symbol key S.
-    """
-    out = {}
-    for gens, poly in form.items():
-        for mono, coeff in poly.terms.items():
-            for pos, key in enumerate(mono):
-                if key in rules:
-                    rest = PolyCoeff({mono[:pos] + mono[pos + 1:]: coeff})
-                    for g, q in rules[key].items():
-                        _add_wedge(out, (g,) + gens, rest * q, 1)
-        for m, g in enumerate(gens):
-            for pair, q in rules[g].terms.items():
-                _add_wedge(out, gens[:m] + pair + gens[m + 1:], poly * q, (-1) ** m)
-    return out
-
-
-def exterior_derivative(one_form: dict, rules: dict) -> TwoForm:
-    """d of a symbolic 1-form {gen: PolyCoeff}.
-
-    rules[g] must give d(gen g) as a TwoForm for every generator used; a
-    missing rule raises KeyError.  rules[S] gives the differential of a
-    curvature symbol key S as a 1-form {gen: PolyCoeff}; a symbol with no
-    entry is closed.
-    """
-    return TwoForm(_exterior_derivative({(g,): poly for g, poly in one_form.items()},
-                                        rules))
-
-
-def exterior_derivative_two_form(tf: TwoForm, rules: dict) -> dict:
-    """d of a symbolic 2-form, as {(i, j, k) sorted: PolyCoeff}.  Used to
-    verify d o d = 0 on the coframe."""
-    return _exterior_derivative(tf.terms, rules)
+def exterior_derivative_two_form(tf: Form, rules: dict) -> dict:
+    """d of a symbolic 2-form as {(i, j, k) sorted: PolyCoeff}."""
+    return tf.d(rules).terms
 
 
 class ConstraintTable:
@@ -350,13 +331,9 @@ class ConstraintTable:
         return out
 
     def state(self, slot):
-        """None if free, 'zero', or ('relation', rhs)."""
+        """None if the slot is free, else its kind: 'zero' or 'relation'."""
         e = self.entries.get(slot)
-        if e is None:
-            return None
-        if e["kind"] == "zero":
-            return "zero"
-        return ("relation", e["rhs"])
+        return None if e is None else e["kind"]
 
 
 class Equation:
@@ -364,17 +341,14 @@ class Equation:
 
     __slots__ = ("generator", "mc", "rhs")
 
-    def __init__(self, generator: int, mc: TwoForm, rhs: dict):
+    def __init__(self, generator: int, mc: Form, rhs: dict):
         self.generator = generator
-        self.mc = mc          # TwoForm with constant PolyCoeffs
+        self.mc = mc          # 2-form with constant PolyCoeffs
         self.rhs = rhs        # {(b, c): constrained flag}
 
     def conjugate(self) -> "Equation":
-        mc = TwoForm()
-        for (i, j), poly in self.mc.terms.items():
-            mc.add_term(CONJ_GEN[i], CONJ_GEN[j], poly.conj())
         rhs = {_conj_pair(*pair)[1]: flag for pair, flag in self.rhs.items()}
-        return Equation(CONJ_GEN[self.generator], mc, rhs)
+        return Equation(CONJ_GEN[self.generator], self.mc.conj(), rhs)
 
 
 def generate_structure_equations(table: ConstraintTable) -> list[Equation]:
@@ -401,11 +375,8 @@ def equations_diff(got: list[Equation], want: list[Equation]) -> list[str]:
             diffs.append(f"unexpected equation for generator {eq.generator}")
             continue
         if eq.mc != ref.mc:
-            delta = eq.mc - ref.mc
-            for pair in sorted(delta.terms):
-                diffs.append(
-                    f"gen {eq.generator}: mc term {pair} differs by "
-                    f"{delta.terms[pair].name()}")
+            diffs += [f"gen {eq.generator}: mc term {pair} differs by {poly.name()}"
+                      for pair, poly in sorted((eq.mc - ref.mc).terms.items())]
         for pair in sorted(set(eq.rhs) | set(ref.rhs)):
             a, b = eq.rhs.get(pair), ref.rhs.get(pair)
             if a is None:
@@ -437,37 +408,41 @@ def equations_to_json(eqs: list[Equation]) -> str:
 
 
 def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equation]:
-    """Inverse of equations_to_json; a bad generator, mc pair, rhs pair or
-    constrained flag, a missing field or a value of the wrong JSON type
-    raises ValueError."""
+    """Inverse of equations_to_json; a bad or repeated generator, an mc
+    pair that is not i < j in 0..9 or is repeated, a bad or repeated rhs
+    pair, a bad constrained flag, a missing field or a value of the wrong
+    JSON type raises ValueError."""
     data = json.loads(text)
     eqs = []
     try:
         for item in data["equations"]:
             gen = item["generator"]
-            if not _is_index(gen, liealg.DIM):
-                raise ValueError(f"bad generator {gen!r}")
-            mc = TwoForm()
+            if not _is_index(gen, liealg.DIM) or any(e.generator == gen for e in eqs):
+                raise ValueError(f"bad generator {gen!r}: out of range or repeated")
+            mc = {}
             for term in item["mc"]:
-                i, j = term["pair"]
-                if not (_is_index(i, liealg.DIM) and _is_index(j, liealg.DIM) and i != j):
-                    raise ValueError(f"bad mc pair {term['pair']!r}")
-                mc.add_term(i, j, PolyCoeff.const(AlgNum.deserialize(term["coeff"])))
+                i, j = pair = tuple(term["pair"])
+                if not (_is_index(i, liealg.DIM) and _is_index(j, liealg.DIM)
+                        and i < j and pair not in mc):
+                    raise ValueError(f"bad mc pair {term['pair']!r} of generator {gen}: "
+                                     "not i < j in 0..9, or repeated")
+                mc[pair] = PolyCoeff.const(AlgNum.deserialize(term["coeff"]))
             rhs = {}
             for t in item["rhs"]:
                 if type(t["constrained"]) is not bool:
                     raise ValueError(f"bad constrained flag {t['constrained']!r}")
-                rhs[symbol_key(gen, t["pair"])[1]] = t["constrained"]
-            eqs.append(Equation(gen, mc, rhs))
+                pair = symbol_key(gen, t["pair"])[1]
+                if pair in rhs:
+                    raise ValueError(f"bad rhs pair {t['pair']!r}: repeated in generator {gen}")
+                rhs[pair] = t["constrained"]
+            eqs.append(Equation(gen, Form(mc), rhs))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad structure equations: missing or mistyped field ({exc!r})") from exc
     if derive_conjugates:
+        # generators are unique and CONJ_GEN is a bijection, so no mate
+        # is derived twice
         have = {e.generator for e in eqs}
-        for eq in list(eqs):
-            mate = CONJ_GEN[eq.generator]
-            if mate not in have:
-                eqs.append(eq.conjugate())
-                have.add(mate)
+        eqs += [eq.conjugate() for eq in eqs if CONJ_GEN[eq.generator] not in have]
     return sorted(eqs, key=lambda e: e.generator)
 
 
@@ -557,10 +532,7 @@ def algnum_latex(x: AlgNum) -> str:
     for q, rad in zip(x.re, radicals):
         if q:
             parts.append(_latex_rat(q, not parts) + rad)
-    im = []
-    for q, rad in zip(x.im, radicals):
-        if q:
-            im.append((q, rad))
+    im = [(q, rad) for q, rad in zip(x.im, radicals) if q]
     if im:
         if len(im) == 1 and not im[0][1]:
             q = im[0][0]
@@ -586,7 +558,7 @@ def _term_latex(coeff: AlgNum, body: str, lead: bool) -> str:
     elif s == "-1":
         s = "-"
     bare = s.lstrip("+-")
-    if "+" in bare or ("-" in bare[1:] if bare else False):
+    if "+" in bare or "-" in bare[1:]:
         s = f"\\left({s}\\right)"
     if lead:
         return f"{s}{body}"
@@ -655,39 +627,35 @@ def verify_iz_change_of_frame(include_torsion: bool = True) -> dict:
     t = PolyCoeff.symbol(T_SYMBOL)
     s = PolyCoeff.symbol(S_SYMBOL)
     _, tbar_key = _conj_slot(T_SYMBOL)
-    _, sbar_key = _conj_slot(S_SYMBOL)
     tbar = PolyCoeff.symbol(tbar_key)
-    sbar = PolyCoeff.symbol(sbar_key)
 
     rules = maurer_cartan_forms()
     if include_torsion:
-        r1 = rules[1] + TwoForm({(0, 3): t, (0, 4): s})
-        r2 = rules[2] + TwoForm({(0, 4): tbar, (0, 3): sbar})
-        rules = {**rules, 1: r1, 2: r2}
-    rules[DT_BAR_GENERATOR] = TwoForm()
-    rules[tbar_key] = {DT_BAR_GENERATOR: PolyCoeff.const(1)}
+        torsion = Form({(0, 3): t, (0, 4): s})
+        rules[1] = rules[1] + torsion
+        rules[2] = rules[2] + torsion.conj()
+    rules[DT_BAR_GENERATOR] = Form()
+    rules[tbar_key] = Form({(DT_BAR_GENERATOR,): PolyCoeff.const(1)})
 
     c = PolyCoeff.const
-    om = {0: c(AlgNum.i(-2))}                                   # -2i th^{-2}
-    om1 = {1: c(1), 0: -tbar}
-    om1bar = {2: c(1), 0: -t}
-    phi2 = {5: c(1), 2: I * HALF * tbar}
-    phi2bar = {6: c(1), 1: c(AlgNum.i(Fraction(-1, 2))) * t}
-    theta2 = {3: c(1), 1: I * tbar, 0: -I * (tbar * tbar)}
-    phi1 = {
-        7: c(Fraction(1, 2)),
-        4: c(AlgNum.i(Fraction(-1, 2))) * s,
-        1: c(Fraction(-1, 2)) * (tbar * t),
-        2: c(Fraction(1, 4)) * (tbar * tbar),
-        6: c(AlgNum.i(Fraction(-1, 2))) * tbar,
-        DT_BAR_GENERATOR: c(AlgNum.i(Fraction(-1, 2))),
-    }
+    om = Form({(0,): c(AlgNum.i(-2))})                         # -2i th^{-2}
+    om1 = Form({(1,): c(1), (0,): -tbar})
+    phi2 = Form({(5,): c(1), (2,): I * HALF * tbar})
+    theta2 = Form({(3,): c(1), (1,): I * tbar, (0,): -I * (tbar * tbar)})
+    phi1 = Form({
+        (7,): c(Fraction(1, 2)),
+        (4,): c(AlgNum.i(Fraction(-1, 2))) * s,
+        (1,): c(Fraction(-1, 2)) * (tbar * t),
+        (2,): c(Fraction(1, 4)) * (tbar * tbar),
+        (6,): c(AlgNum.i(Fraction(-1, 2))) * tbar,
+        (DT_BAR_GENERATOR,): c(AlgNum.i(Fraction(-1, 2))),
+    })
+    om1bar = om1.conj()
 
-    d_om = exterior_derivative(om, rules)
-    d_om1 = exterior_derivative(om1, rules)
-
-    residual_11 = d_om + wedge(om1, om1bar) + wedge(om, phi2) + wedge(om, phi2bar)
-    residual_12 = d_om1 - wedge(theta2, om1bar) + wedge(om1, phi2) + wedge(om, phi1)
+    residual_11 = (om.d(rules) + om1.wedge(om1bar) + om.wedge(phi2)
+                   + om.wedge(phi2.conj()))
+    residual_12 = (om1.d(rules) - theta2.wedge(om1bar) + om1.wedge(phi2)
+                   + om.wedge(phi1))
     return {
         "residual_11": residual_11,
         "residual_12": residual_12,

@@ -129,6 +129,13 @@ def test_unknown_suite_rejected():
         cli.main(["--suite", "nonsense"])
 
 
+def test_suite_and_emit_are_exclusive(capsys):
+    # one run either checks a suite or emits an artifact, never both
+    with pytest.raises(SystemExit):
+        cli.main(["--suite", "kernels", "--emit", "bases"])
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_emit_structure_equations_latex(capsys):
     assert cli.main(["--emit", "structure-equations", "--format", "latex"]) == 0
     out = capsys.readouterr().out

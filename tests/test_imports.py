@@ -1,4 +1,5 @@
-"""Every name that a module, test or demo imports is used in that file."""
+"""Every name that a module, test or demo imports is used in that file,
+and every private definition in the package is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,43 @@ def test_no_unused_imports():
             unused[str(path.relative_to(ROOT))] = names
     assert len(files) > 20
     assert unused == {}
+
+
+def _dead_private_definitions(sources: list[str]) -> list[str]:
+    """Private (_name) functions, methods and module constants defined in
+    the sources that no source reads as a name, an attribute or an import."""
+    defined, read = set(), set()
+    for text in sources:
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(n for n in defined - read
+                  if n.startswith("_") and not n.endswith("__"))
+
+
+def test_dead_private_definition_guard_sees_leftovers():
+    src = ("_USED = 1\n_STRAY = 2\n"
+           "def _helper(): return _USED\n"
+           "def _stray(terms): return terms\n"
+           "class A:\n"
+           "    def __init__(self): self._go()\n"
+           "    def _go(self): return _helper()\n"
+           "    def _gone(self): pass\n")
+    assert _dead_private_definitions([src]) == ["_STRAY", "_gone", "_stray"]
+
+
+def test_no_dead_private_definitions():
+    files = sorted((ROOT / "src/cartancr").glob("*.py"))
+    assert len(files) > 5
+    assert _dead_private_definitions([p.read_text() for p in files]) == []

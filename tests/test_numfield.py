@@ -306,7 +306,10 @@ def test_deserialize_raises_value_error_or_round_trips(text):
 @pytest.mark.parametrize("text", ["1*r7", "i*(1)", "1+i*(2", "1*", "r5",
                                   "1/0", "1+i*(2))", "1+i*(2)+i*(3)",
                                   "", "1+i*()", "+i*(1)", "1.5", "1e3",
-                                  "2.5*r3", "1_000", "+1", "1 2", "1r2"])
+                                  "2.5*r3", "1_000", "+1", "1 2", "1r2",
+                                  # values serialize spells another way
+                                  "2/4", "007", "-0", "0/5", "1*r2", "-r2",
+                                  "1+1", "r2+r2", "1-1", "1+i*(0)"])
 def test_deserialize_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         AlgNum.deserialize(text)

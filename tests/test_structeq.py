@@ -9,14 +9,12 @@ from hypothesis import given, strategies as st
 
 from cartancr.structeq import (CONJ_GEN, GENERATOR_LATEX, GENERATOR_NAMES,
                                S_SYMBOL, T_SYMBOL, THETA_PAIRS, ConstraintTable,
-                               PolyCoeff, TwoForm, _conj_slot, algnum_latex,
+                               Form, PolyCoeff, _conj_slot, algnum_latex,
                                constraints_to_json, constraints_to_latex,
                                equations_diff, equations_from_json,
                                equations_to_json, equations_to_latex,
-                               exterior_derivative, exterior_derivative_two_form,
                                generate_structure_equations, load_constraints,
-                               maurer_cartan_forms, verify_iz_change_of_frame,
-                               wedge)
+                               maurer_cartan_forms, verify_iz_change_of_frame)
 from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -58,10 +56,16 @@ def test_maurer_cartan_forms_frozen():
 
 def test_wedge_antisymmetry():
     t = PolyCoeff.symbol(T_SYMBOL)
-    a = {0: PolyCoeff.const(ONE), 3: t}
-    b = {1: PolyCoeff.const(I), 4: t * AlgNum.of(2)}
-    assert (wedge(a, b) + wedge(b, a)).is_zero()
-    assert wedge(a, a).is_zero()
+    a = Form({(0,): PolyCoeff.const(ONE), (3,): t})
+    b = Form({(1,): PolyCoeff.const(I), (4,): t * AlgNum.of(2)})
+    assert (a.wedge(b) + b.wedge(a)).is_zero()
+    assert a.wedge(a).is_zero()
+    # th^3 ^ th^1 is stored as -th^1 ^ th^3; a 2-form commutes with a 1-form
+    ab = a.wedge(b)
+    assert ab.terms[(1, 3)] == -(t * I)
+    c = Form({(2,): PolyCoeff.const(HALF), (5,): t})
+    assert ab.wedge(c) == c.wedge(ab) and not ab.wedge(c).is_zero()
+    assert ab.wedge(b).is_zero()
 
 
 def test_curvature_symbol_conjugation():
@@ -245,31 +249,58 @@ _TBAR_POLYS = st.lists(st.builds(AlgNum.from_complex_rat, st.integers(-3, 3),
 
 
 @given(st.dictionaries(st.integers(0, 11), _TBAR_POLYS, max_size=4))
-def test_d_squared_is_zero_on_symbolic_one_forms(one_form):
+def test_d_squared_is_zero_on_symbolic_one_forms(coeffs):
     # the frame-change setting, widened: the conjugate torsion symbol has
     # the differential gen^10 + 2i gen^11, both closed formal generators
-    rules = {**maurer_cartan_forms(), 10: TwoForm(), 11: TwoForm(),
-             _TBAR: {10: PolyCoeff.const(ONE), 11: PolyCoeff.const(AlgNum.i(2))}}
-    d_form = exterior_derivative(one_form, rules)
-    assert exterior_derivative_two_form(d_form, rules) == {}
+    rules = {**maurer_cartan_forms(), 10: Form(), 11: Form(),
+             _TBAR: Form({(10,): PolyCoeff.const(ONE), (11,): PolyCoeff.const(AlgNum.i(2))})}
+    d_form = Form({(g,): p for g, p in coeffs.items()}).d(rules)
+    assert d_form.d(rules).is_zero()
 
 
-def test_exterior_derivative_of_a_symbol_coefficient():
+def test_form_d_of_a_symbol_coefficient():
     # d(S th^{-2}) = dS ^ th^{-2} + S d th^{-2} with dS = a om^{0(10)} + b th^{0(10)}
     a, b = AlgNum.of(3), I * HALF
     s = PolyCoeff.symbol(T_SYMBOL)
     rules = {**maurer_cartan_forms(),
-             T_SYMBOL: {5: PolyCoeff.const(a), 3: PolyCoeff.const(b)}}
-    got = exterior_derivative({0: s}, rules)
+             T_SYMBOL: Form({(5,): PolyCoeff.const(a), (3,): PolyCoeff.const(b)})}
+    got = Form({(0,): s}).d(rules)
     # d th^{-2} = -th^{-2}^om^{0(10)} - th^{-2}^om^{0(01)} - i/2 th^{-1(10)}^th^{-1(01)}
-    assert got == TwoForm({(0, 5): PolyCoeff.const(-a) - s, (0, 3): PolyCoeff.const(-b),
-                           (0, 6): -s, (1, 2): s * MI2})
+    assert got == Form({(0, 5): PolyCoeff.const(-a) - s, (0, 3): PolyCoeff.const(-b),
+                        (0, 6): -s, (1, 2): s * MI2})
 
 
-def test_exterior_derivative_requires_rules():
+def test_form_d_requires_rules():
     rules = maurer_cartan_forms()
     with pytest.raises(KeyError):
-        exterior_derivative({17: PolyCoeff.const(ONE)}, rules)
+        Form({(17,): PolyCoeff.const(ONE)}).d(rules)
+
+
+# 1-forms over the coframe with constant and curvature-symbol coefficients
+_SLOTS = [(a, pair) for a in range(10) for pair in THETA_PAIRS]
+_COEFFS = st.builds(AlgNum.from_complex_rat, st.integers(-3, 3), st.integers(-3, 3))
+_POLYS = st.lists(st.tuples(st.lists(st.sampled_from(_SLOTS), max_size=2), _COEFFS),
+                  max_size=3).map(lambda ts: sum((PolyCoeff({tuple(m): c}) for m, c in ts),
+                                                 PolyCoeff()))
+_ONE_FORMS = st.dictionaries(st.integers(0, 9), _POLYS, max_size=4).map(
+    lambda cs: Form({(g,): p for g, p in cs.items()}))
+
+
+@given(_ONE_FORMS)
+def test_form_conj_is_an_involution(a):
+    assert a.conj().conj() == a
+
+
+@given(_ONE_FORMS, _ONE_FORMS)
+def test_form_conj_commutes_with_wedge(a, b):
+    assert a.wedge(b).conj() == a.conj().wedge(b.conj())
+
+
+@given(_ONE_FORMS)
+def test_form_conj_commutes_with_d(a):
+    # the Maurer-Cartan coframe is real: conj(d gen^A) = d gen^{conj A}
+    rules = maurer_cartan_forms()
+    assert a.d(rules).conj() == a.conj().d(rules)
 
 
 def _zero_slot_fixture(slot):
@@ -297,7 +328,18 @@ _MALFORMED = [
      json.dumps({"equations": [{"generator": 12, "mc": [], "rhs": []}]})),
     *[(f"mc-pair-{i!r},{j!r}", equations_from_json, json.dumps({"equations": [
         {"generator": 1, "mc": [{"pair": [i, j], "coeff": "1"}], "rhs": []}]}))
-      for i, j in ((-1, 3), (3, 10), (2, 2), ("1", 3))],
+      for i, j in ((-1, 3), (3, 10), (2, 2), ("1", 3), (5, 0))],
+    # a repeat would let the last entry win, and a reversed pair would be
+    # read with the opposite sign; neither is written by equations_to_json
+    ("mc-pair-repeated", equations_from_json, json.dumps({"equations": [
+        {"generator": 0, "mc": [{"pair": [0, 5], "coeff": "-1"},
+                                {"pair": [0, 5], "coeff": "-1"}], "rhs": []}]})),
+    ("generator-repeated", equations_from_json, json.dumps({"equations": [
+        {"generator": 0, "mc": [{"pair": [0, 5], "coeff": "-1"}], "rhs": []},
+        {"generator": 0, "mc": [], "rhs": []}]})),
+    ("rhs-pair-repeated", equations_from_json, json.dumps({"equations": [
+        {"generator": 1, "mc": [], "rhs": [{"pair": [0, 1], "constrained": False},
+                                           {"pair": [0, 1], "constrained": True}]}]})),
     *[(f"constrained-{flag!r}", equations_from_json, json.dumps({"equations": [
         {"generator": 1, "mc": [], "rhs": [{"pair": [0, 1], "constrained": flag}]}]}))
       for flag in ("yes", 1, None)],
