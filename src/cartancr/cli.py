@@ -276,6 +276,18 @@ def emit_artifacts(kind: str, fmt: str, fixtures: Path) -> str:
     raise ValueError(f"unknown emit kind {kind!r}")
 
 
+def _report_text(report: dict, as_json: bool) -> str:
+    if as_json:
+        return json.dumps(report, indent=2, sort_keys=True)
+    lines = [f"suite: {report['suite']}"]
+    for c in report["checks"]:
+        mark = "pass" if c["passed"] else "FAIL"
+        lines.append(f"  [{mark}] {c['id']}: {c['detail']}")
+    lines.append(f"{report['counts']['total'] - report['counts']['failed']}"
+                 f"/{report['counts']['total']} checks passed")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cartancr",
@@ -297,13 +309,10 @@ def main(argv=None) -> int:
 
     try:
         if args.emit:
-            text = emit_artifacts(args.emit, args.format, fixtures)
-            if args.out:
-                args.out.write_text(text)
-            else:
-                sys.stdout.write(text)
-            return 0
-        report = run_suite(args.suite or "all", fixtures)
+            out, passed = emit_artifacts(args.emit, args.format, fixtures), True
+        else:
+            report = run_suite(args.suite or "all", fixtures)
+            out, passed = _report_text(report, args.json), report["passed"]
     except FileNotFoundError as exc:
         # installed CLI run outside the repository: fixtures must be pointed at
         print(f"cartancr: fixture file not found: {exc.filename}\n"
@@ -315,21 +324,11 @@ def main(argv=None) -> int:
         # exit 1 is kept for "a check failed"
         print(f"cartancr: malformed fixture in {fixtures}: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        out = json.dumps(report, indent=2, sort_keys=True)
-    else:
-        lines = [f"suite: {report['suite']}"]
-        for c in report["checks"]:
-            mark = "pass" if c["passed"] else "FAIL"
-            lines.append(f"  [{mark}] {c['id']}: {c['detail']}")
-        lines.append(f"{report['counts']['total'] - report['counts']['failed']}"
-                     f"/{report['counts']['total']} checks passed")
-        out = "\n".join(lines) + "\n"
     if args.out:
         args.out.write_text(out)
     else:
         sys.stdout.write(out)
-    return 0 if report["passed"] else 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

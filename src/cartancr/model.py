@@ -81,12 +81,13 @@ def infinitesimal_action(x_matrix, coords) -> list[AlgNum]:
 
 def tangency_defects(x_matrix, coords) -> tuple[AlgNum, AlgNum]:
     """Flow derivatives of the two defining pairings at a model point;
-    both vanish identically for algebra elements."""
+    both vanish identically for algebra elements.  The derivative of
+    (w, w) is (Xw, w) + (w, Xw) = 2 (Xw, w), and that of <w, w> is
+    <Xw, w> + <w, Xw> = h + conj(h) with h = <Xw, w>."""
     w = _point(coords)
     aw = from_exchange_chart(linalg.mat_vec(x_matrix, to_exchange_chart(w)))
-    d_sym = symmetric_pairing(aw, w) + symmetric_pairing(w, aw)
-    d_herm = hermitian_pairing(aw, w) + hermitian_pairing(w, aw)
-    return d_sym, d_herm
+    s, h = symmetric_pairing(aw, w), hermitian_pairing(aw, w)
+    return s + s, h + h.conj()
 
 
 def levi_form_tube(x) -> dict:

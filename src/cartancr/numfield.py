@@ -133,16 +133,7 @@ class AlgNum:
     # -- ring ops ----------------------------------------------------
     def __add__(self, other) -> "AlgNum":
         other = _coerce(other)
-        if other is NotImplemented:
-            return other
-        n2 = other._n
-        if not any(n2):
-            return self
-        n1 = self._n
-        if not any(n1):
-            return other
-        d1, d2 = self._d, other._d
-        return _reduced([a * d2 + b * d1 for a, b in zip(n1, n2)], d1 * d2)
+        return other if other is NotImplemented else _combine(self, other, 1)
 
     __radd__ = __add__
 
@@ -151,11 +142,11 @@ class AlgNum:
 
     def __sub__(self, other) -> "AlgNum":
         other = _coerce(other)
-        return other if other is NotImplemented else _difference(self, other)
+        return other if other is NotImplemented else _combine(self, other, -1)
 
     def __rsub__(self, other) -> "AlgNum":
         other = _coerce(other)
-        return other if other is NotImplemented else _difference(other, self)
+        return other if other is NotImplemented else _combine(other, self, -1)
 
     def __mul__(self, other) -> "AlgNum":
         other = _coerce(other)
@@ -333,17 +324,18 @@ def _surd_sign(p: int, q: int, norm: int) -> int:
     return sp if norm > 0 else sq
 
 
-def _difference(x: AlgNum, y: AlgNum) -> AlgNum:
-    """x - y as one cross-multiplied difference; a zero operand costs no
-    arithmetic."""
+def _combine(x: AlgNum, y: AlgNum, sign: int) -> AlgNum:
+    """x + sign * y for sign +1 or -1 as one cross-multiplied sum; a zero
+    operand costs no arithmetic."""
     n2 = y._n
     if not any(n2):
         return x
     n1 = x._n
     if not any(n1):
-        return -y
+        return y if sign > 0 else -y
     d1, d2 = x._d, y._d
-    return _reduced([a * d2 - b * d1 for a, b in zip(n1, n2)], d1 * d2)
+    e = sign * d1
+    return _reduced([a * d2 + b * e for a, b in zip(n1, n2)], d1 * d2)
 
 
 def _fractions(n: tuple, d: int) -> tuple:

@@ -94,122 +94,124 @@ def symbol_name(key, latex: bool = False) -> str:
             f"_{{{UPPER_LABELS[b]}{sep}{UPPER_LABELS[c]}}}")
 
 
-class PolyCoeff:
+class _Sum:
+    """A sparse sum {canonical key tuple: nonzero coefficient}: the arithmetic
+    PolyCoeff and Form share.  A subclass gives _order(key) -> (sign,
+    canonical key), sign 0 when the term vanishes, and _conj_atom(entry) ->
+    (sign, conjugate entry).  add, which the constructor calls on every
+    term, is the one place a key is put in order."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        for key, coeff in (terms or {}).items():
+            self.add(key, coeff)
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """Trusted constructor: keys already canonical, coefficients nonzero."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
+    def add(self, key: tuple, coeff, sign: int = 1):
+        """self += sign * coeff * (the product of the entries of key)."""
+        s, key = self._order(key)
+        if s and not coeff.is_zero():
+            _accumulate(self.terms, key, coeff if s == sign else -coeff)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _accumulate(terms, key, coeff)
+        return self._of(terms)
+
+    def __neg__(self):
+        return self._of({key: -coeff for key, coeff in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """The product of two sums, or every coefficient times an AlgNum."""
+        if isinstance(other, AlgNum):
+            if other.is_zero():
+                return type(self)()
+            return self._of({key: coeff * other for key, coeff in self.terms.items()})
+        out = type(self)()
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                out.add(k1 + k2, c1 * c2)
+        return out
+
+    def conj(self):
+        """The reality involution: entries by _conj_atom, coefficients by conj."""
+        out = type(self)()
+        for key, coeff in self.terms.items():
+            sign, atoms = 1, []
+            for atom in key:
+                s, atom = self._conj_atom(atom)
+                sign *= s
+                atoms.append(atom)
+            out.add(tuple(atoms), coeff.conj(), sign)
+        return out
+
+
+class PolyCoeff(_Sum):
     """Polynomial in curvature symbols with AlgNum coefficients.
 
     terms: {tuple of symbol keys (sorted): AlgNum}; the empty tuple holds
     the constant part.  Symbols commute.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {tuple(sorted(mono)): coeff for mono, coeff in terms.items()
-                      if not coeff.is_zero()} if terms else {}
+    @staticmethod
+    def _order(mono: tuple):
+        return 1, tuple(sorted(mono))
+
+    _conj_atom = staticmethod(_conj_slot)
 
     @staticmethod
     def const(value) -> "PolyCoeff":
         v = value if isinstance(value, AlgNum) else AlgNum.of(value)
-        return PolyCoeff({(): v})
+        return PolyCoeff._of({} if v.is_zero() else {(): v})
 
     @staticmethod
-    def symbol(key, coeff=None) -> "PolyCoeff":
-        return PolyCoeff({(key,): coeff if coeff is not None else ONE})
+    def symbol(key, coeff=ONE) -> "PolyCoeff":
+        return PolyCoeff({(key,): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        p = PolyCoeff()
-        p.terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            _accumulate(p.terms, mono, coeff)
-        return p
-
-    def __neg__(self):
-        p = PolyCoeff()
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgNum):
-            return PolyCoeff({m: c * other for m, c in self.terms.items()})
-        out = PolyCoeff()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _accumulate(out.terms, tuple(sorted(m1 + m2)), c1 * c2)
-        return out
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "PolyCoeff":
-        out = PolyCoeff()
-        for mono, coeff in self.terms.items():
-            coeff = coeff.conj()
-            keys = []
-            for key in mono:
-                sign, key = _conj_slot(key)
-                if sign < 0:
-                    coeff = -coeff
-                keys.append(key)
-            _accumulate(out.terms, tuple(sorted(keys)), coeff)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, PolyCoeff) and self.terms == other.terms
+    __rmul__ = _Sum.__mul__
 
     def name(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono].serialize()
-            syms = "*".join(symbol_name(k) for k in mono)
-            bits.append(f"({c})" + (f"*{syms}" if syms else ""))
-        return " + ".join(bits)
+        return " + ".join(f"({c.serialize()})" + "".join("*" + symbol_name(k) for k in mono)
+                          for mono, c in sorted(self.terms.items())) or "0"
 
     def __repr__(self):
         return f"PolyCoeff({self.name()})"
 
 
-class Form:
+class Form(_Sum):
     """Exact symbolic exterior form of any degree: {sorted generator tuple:
     PolyCoeff} over coframe indices plus any formal extra generators.
+    A repeated generator makes a term vanish."""
 
-    The constructor drops zero coefficients and trusts its keys to be
-    sorted; add is the one place a wedge of generators is put in order.
-    """
+    __slots__ = ()
 
-    __slots__ = ("terms",)
+    _order = staticmethod(_wedge_sign)
 
-    def __init__(self, terms=None):
-        self.terms = {gens: poly for gens, poly in terms.items()
-                      if not poly.is_zero()} if terms else {}
+    @staticmethod
+    def _conj_atom(gen: int):
+        return 1, CONJ_GEN[gen]
 
-    def add(self, gens: tuple, poly: PolyCoeff, sign: int = 1):
-        """self += sign * poly gen^{gens[0]} ^ gen^{gens[1]} ^ ..."""
-        s, key = _wedge_sign(gens)
-        if s and not poly.is_zero():
-            _accumulate(self.terms, key, poly if s == sign else -poly)
-
-    def __add__(self, other):
-        out = Form(self.terms)
-        for gens, poly in other.terms.items():
-            _accumulate(out.terms, gens, poly)
-        return out
-
-    def __sub__(self, other):
-        return self + Form({gens: -poly for gens, poly in other.terms.items()})
-
-    def wedge(self, other) -> "Form":
-        out = Form()
-        for g, p in self.terms.items():
-            for h, q in other.terms.items():
-                out.add(g + h, p * q)
-        return out
+    wedge = _Sum.__mul__
 
     def d(self, rules: dict) -> "Form":
         """d(f gen^{g_0} ^ ... ^ gen^{g_k}) = df ^ gen^{g_0} ^ ... ^ gen^{g_k}
@@ -224,7 +226,7 @@ class Form:
             for mono, coeff in poly.terms.items():
                 for pos, key in enumerate(mono):
                     if key in rules:
-                        rest = PolyCoeff({mono[:pos] + mono[pos + 1:]: coeff})
+                        rest = PolyCoeff._of({mono[:pos] + mono[pos + 1:]: coeff})
                         for g, q in rules[key].terms.items():
                             out.add(g + gens, rest * q)
             for m, g in enumerate(gens):
@@ -232,26 +234,9 @@ class Form:
                     out.add(gens[:m] + pair + gens[m + 1:], poly * q, (-1) ** m)
         return out
 
-    def conj(self) -> "Form":
-        """The reality involution: generators by CONJ_GEN, coefficients by
-        PolyCoeff.conj."""
-        out = Form()
-        for gens, poly in self.terms.items():
-            out.add(tuple(CONJ_GEN[g] for g in gens), poly.conj())
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, Form) and self.terms == other.terms
-
     def name(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"[{self.terms[gens].name()}] "
-                          + "^".join(f"g{g}" for g in gens)
-                          for gens in sorted(self.terms))
+        return " + ".join(f"[{poly.name()}] " + "^".join(f"g{g}" for g in gens)
+                          for gens, poly in sorted(self.terms.items())) or "0"
 
 
 def maurer_cartan_forms() -> dict[int, Form]:
@@ -266,7 +251,7 @@ def maurer_cartan_forms() -> dict[int, Form]:
             # each (A, B < C) occurs once, so no sum or sign rule is needed
             for a, x in sc[(c, b)]:
                 terms[a][pair] = PolyCoeff.const(x)
-    return {a: Form(t) for a, t in terms.items()}
+    return {a: Form._of(t) for a, t in terms.items()}
 
 
 def exterior_derivative_two_form(tf: Form, rules: dict) -> dict:
@@ -408,10 +393,10 @@ def equations_to_json(eqs: list[Equation]) -> str:
 
 
 def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equation]:
-    """Inverse of equations_to_json; a bad or repeated generator, an mc
-    pair that is not i < j in 0..9 or is repeated, a bad or repeated rhs
-    pair, a bad constrained flag, a missing field or a value of the wrong
-    JSON type raises ValueError."""
+    """Inverse of equations_to_json; a bad or repeated generator, a pair
+    that is not two entries long, an mc pair that is not i < j in 0..9 or
+    is repeated, a bad or repeated rhs pair, a bad constrained flag, a
+    missing field or a value of the wrong JSON type raises ValueError."""
     data = json.loads(text)
     eqs = []
     try:
@@ -421,7 +406,7 @@ def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equa
                 raise ValueError(f"bad generator {gen!r}: out of range or repeated")
             mc = {}
             for term in item["mc"]:
-                i, j = pair = tuple(term["pair"])
+                i, j = pair = _json_entries(term["pair"], 2, f"mc pair in generator {gen}")
                 if not (_is_index(i, liealg.DIM) and _is_index(j, liealg.DIM)
                         and i < j and pair not in mc):
                     raise ValueError(f"bad mc pair {term['pair']!r} of generator {gen}: "
@@ -431,7 +416,8 @@ def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equa
             for t in item["rhs"]:
                 if type(t["constrained"]) is not bool:
                     raise ValueError(f"bad constrained flag {t['constrained']!r}")
-                pair = symbol_key(gen, t["pair"])[1]
+                pair = symbol_key(gen, _json_entries(t["pair"], 2,
+                                                     f"rhs pair in generator {gen}"))[1]
                 if pair in rhs:
                     raise ValueError(f"bad rhs pair {t['pair']!r}: repeated in generator {gen}")
                 rhs[pair] = t["constrained"]
@@ -476,13 +462,12 @@ def _entry_name(entry: dict, kind: str) -> str:
     return name
 
 
-def _json_slot(slot, where: str):
-    """A slot [upper, b, c] as (upper, (b, c)); any other shape raises ValueError."""
-    if not isinstance(slot, list) or len(slot) != 3:
-        raise ValueError(f"bad constraints: slot {slot!r} in {where} "
-                         "is not three entries long")
-    upper, b, c = slot
-    return upper, (b, c)
+def _json_entries(value, n: int, what: str) -> tuple:
+    """A JSON list of n entries, such as a slot [upper, b, c] or a pair
+    [b, c], as a tuple; any other value raises ValueError naming `what`."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"bad {what}: {value!r} is not {n} entries long")
+    return tuple(value)
 
 
 def load_constraints(text: str) -> ConstraintTable:
@@ -497,16 +482,18 @@ def load_constraints(text: str) -> ConstraintTable:
         for group in data["groups"]:
             name = _entry_name(group, "group")
             for slot in group["zero_slots"]:
-                table.add_zero(_json_slot(slot, f"group {name!r}"), name)
+                upper, *pair = _json_entries(slot, 3, f"slot in group {name!r}")
+                table.add_zero((upper, pair), name)
         for rel in data.get("relations", []):
             name = _entry_name(rel, "relation")
             rhs = PolyCoeff()
             for term in rel["rhs"]:
-                coeff = AlgNum.deserialize(term["coeff"])
-                mono = tuple(symbol_key(*_json_slot(sym, f"relation {name!r}"))
-                             for sym in term["symbols"])
-                rhs = rhs + PolyCoeff({mono: coeff})
-            table.add_relation(_json_slot(rel["slot"], f"relation {name!r}"), rhs, name)
+                syms = [_json_entries(sym, 3, f"symbol in relation {name!r}")
+                        for sym in term["symbols"]]
+                rhs.add(tuple(symbol_key(u, pair) for u, *pair in syms),
+                        AlgNum.deserialize(term["coeff"]))
+            upper, *pair = _json_entries(rel["slot"], 3, f"slot in relation {name!r}")
+            table.add_relation((upper, pair), rhs, name)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad constraints: missing or mistyped field ({exc!r})") from exc
     return table
@@ -551,7 +538,7 @@ def algnum_latex(x: AlgNum) -> str:
     return "".join(parts) or "0"
 
 
-def _term_latex(coeff: AlgNum, body: str, lead: bool) -> str:
+def _term_latex(coeff: AlgNum, body: str) -> str:
     s = algnum_latex(coeff)
     if s == "1":
         s = ""
@@ -560,8 +547,6 @@ def _term_latex(coeff: AlgNum, body: str, lead: bool) -> str:
     bare = s.lstrip("+-")
     if "+" in bare or "-" in bare[1:]:
         s = f"\\left({s}\\right)"
-    if lead:
-        return f"{s}{body}"
     if s.startswith("-"):
         return f" - {s[1:]}{body}"
     return f" + {s.lstrip('+')}{body}"
@@ -575,7 +560,7 @@ def equations_to_latex(eqs: list[Equation]) -> str:
         for (i, j), poly in sorted(eq.mc.terms.items()):
             coeff = -poly.terms[()]
             body = f"{GENERATOR_LATEX[i]}\\wedge {GENERATOR_LATEX[j]}"
-            lhs += _term_latex(coeff, body, lead=False)
+            lhs += _term_latex(coeff, body)
         if not eq.rhs:
             rhs = "0"
         else:

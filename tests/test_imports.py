@@ -1,8 +1,13 @@
 """Every name that a module, test or demo imports is used in that file,
-and every private definition in the package is used somewhere in it."""
+every private definition in the package is used somewhere in it, and the
+test extra installs every package the tests import."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +75,21 @@ def test_no_dead_private_definitions():
     files = sorted((ROOT / "src/cartancr").glob("*.py"))
     assert len(files) > 5
     assert _dead_private_definitions([p.read_text() for p in files]) == []
+
+
+def test_test_extra_lists_every_third_party_test_import():
+    # the sympy oracle tests skip when sympy is missing, so a test extra
+    # without it would drop them silently
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    listed = {re.match(r"[A-Za-z0-9_.-]+", req).group()
+              for req in project["optional-dependencies"]["test"]}
+    imported = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"cartancr"}
+    assert "sympy" in third_party and third_party <= listed

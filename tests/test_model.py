@@ -77,12 +77,20 @@ def test_infinitesimal_action_requires_membership():
 def test_tangency_defects_detect_non_algebra_flows():
     bad = linalg.zeros(5, 5)
     bad[0][0] = ONE     # not in the algebra
-    flagged = False
-    for p in MEMBERS:
-        d_sym, d_herm = model.tangency_defects(bad, p)
-        if not (d_sym.is_zero() and d_herm.is_zero()):
-            flagged = True
-    assert flagged
+    dense = [[AlgNum.from_complex_rat(i - j, i * j - 2) for j in range(5)]
+             for i in range(5)]
+    for x in (bad, dense):
+        flagged = False
+        for p in MEMBERS:
+            d_sym, d_herm = model.tangency_defects(x, p)
+            if not (d_sym.is_zero() and d_herm.is_zero()):
+                flagged = True
+            # each defect is a pairing plus its mirror image
+            w = list(p)
+            xw = model.from_exchange_chart(linalg.mat_vec(x, model.to_exchange_chart(w)))
+            assert d_sym == model.symmetric_pairing(xw, w) + model.symmetric_pairing(w, xw)
+            assert d_herm == model.hermitian_pairing(xw, w) + model.hermitian_pairing(w, xw)
+        assert flagged
 
 
 def test_levi_matrix_at_345():

@@ -68,6 +68,26 @@ def test_wedge_antisymmetry():
     assert ab.wedge(b).is_zero()
 
 
+def test_constructors_put_every_key_in_canonical_order():
+    c = PolyCoeff.symbol(T_SYMBOL, I)
+    # th^3 ^ th^0 = -th^0 ^ th^3, and th^1 ^ th^1 = 0
+    assert Form({(3, 0): c}) == Form({(0, 3): -c})
+    assert Form({(1, 1): c}).is_zero()
+    assert Form({(4, 2, 0): c}).terms == {(0, 2, 4): -c}
+    # symbols commute: two spellings of one monomial add up
+    two = PolyCoeff({(T_SYMBOL, S_SYMBOL): ONE, (S_SYMBOL, T_SYMBOL): ONE})
+    assert two == PolyCoeff.symbol(T_SYMBOL) * PolyCoeff.symbol(S_SYMBOL, AlgNum.of(2))
+    assert PolyCoeff({(T_SYMBOL, S_SYMBOL): ONE, (S_SYMBOL, T_SYMBOL): -ONE}).is_zero()
+
+
+def test_polycoeff_and_form_share_one_sparse_sum_implementation():
+    shared = {"__init__", "add", "is_zero", "__eq__", "__add__", "__neg__",
+              "__sub__", "__mul__", "conj"}
+    for cls in (PolyCoeff, Form):
+        assert not shared & set(vars(cls)), cls.__name__
+        assert all(callable(getattr(cls, name)) for name in shared)
+
+
 def test_curvature_symbol_conjugation():
     assert _conj_slot(T_SYMBOL) == (1, (2, (0, 4)))
     # conjugating legs (1, 2) swaps them, picking up a sign
@@ -331,6 +351,11 @@ _MALFORMED = [
       for i, j in ((-1, 3), (3, 10), (2, 2), ("1", 3), (5, 0))],
     # a repeat would let the last entry win, and a reversed pair would be
     # read with the opposite sign; neither is written by equations_to_json
+    # a pair of the wrong length is named with its field and generator
+    *[(f"{field}-pair-{','.join(map(str, pair)) or 'empty'}", equations_from_json,
+       json.dumps({"equations": [{"generator": 1, "mc": [], "rhs": [],
+                                  field: [{"pair": pair, "coeff": "1", "constrained": False}]}]}))
+      for field in ("mc", "rhs") for pair in ([0, 5, 6], [0], [0, 1, 2], [])],
     ("mc-pair-repeated", equations_from_json, json.dumps({"equations": [
         {"generator": 0, "mc": [{"pair": [0, 5], "coeff": "-1"},
                                 {"pair": [0, 5], "coeff": "-1"}], "rhs": []}]})),
@@ -381,3 +406,12 @@ def test_malformed_slots_raise_value_error(load, text):
     # must not be stored, nor reach a table lookup through a negative index
     with pytest.raises(ValueError, match="bad"):
         load(text)
+
+
+@pytest.mark.parametrize("field", ["mc", "rhs"])
+def test_pair_of_wrong_length_names_its_field_and_generator(field):
+    text = json.dumps({"equations": [{"generator": 3, "mc": [], "rhs": [],
+                                      field: [{"pair": [0, 5, 6], "coeff": "1",
+                                               "constrained": False}]}]})
+    with pytest.raises(ValueError, match=rf"bad {field} pair in generator 3: \[0, 5, 6\]"):
+        equations_from_json(text)
