@@ -8,8 +8,9 @@ element Z is visible block-wise.  Three ordered bases are provided:
   E_0|1, E_0|2, E_1|1, E_1|2, E_2);
 * cr -- complex combinations X(10) = (X|1 - i X|2)/2 and conjugates,
   closed under conjugation, with e_-2 and E_2 real;
-* f -- a real orthonormal-up-to-sign basis for the Killing form
-  (normalizers 1/sqrt6 and 1/sqrt12).
+* f -- the standard basis scaled, f_k = s_k e_k with s_k = 1/sqrt12 at
+  degree 0 and 1/sqrt6 elsewhere: a real orthonormal-up-to-sign basis
+  for the Killing form.
 
 Degrees by position are (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2) in every basis.
 """
@@ -60,6 +61,11 @@ F_NAMES = tuple(f"f{k}" for k in range(1, 11))
 DEGREES = (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2)
 Z_INDEX = 5  # grading element E_0|1
 
+# f_k = _F_SCALES[k] * e_k; as X(10) + X(01) = X|1 and i (X(10) - X(01))
+# = X|2, these are also the real combinations of the cr pairs
+_F_SCALES = tuple(AlgNum.sqrt3(Fraction(1, 6)) if d == 0 else AlgNum.sqrt6(Fraction(1, 6))
+                 for d in DEGREES)
+
 # index of the conjugate partner in the cr basis
 CR_CONJ = (0, 2, 1, 4, 3, 6, 5, 8, 7, 9)
 
@@ -84,38 +90,29 @@ def commutator(a, b):
     return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
+def _entries(m) -> list[AlgNum]:
+    """The 25 entries of a 5x5 matrix, row by row; any other shape raises
+    ValueError."""
+    if len(m) != 5 or any(len(row) != 5 for row in m):
+        raise ValueError(f"expected a 5x5 matrix, got rows of lengths {[len(r) for r in m]}")
+    return [x for row in m for x in row]
+
+
 def membership_so32(matrix) -> bool:
-    """A^T * CAL_I + CAL_I * A == 0, exactly."""
+    """A^T * CAL_I + CAL_I * A == 0, exactly; ValueError unless A is 5x5."""
+    _entries(matrix)
     lhs = mat_add(linalg.mat_mul(linalg.transpose(matrix), CAL_I),
                   linalg.mat_mul(CAL_I, matrix))
     return all(x.is_zero() for row in lhs for x in row)
 
 
-def _cr_pair(x1, x2):
-    # X(10) = (X|1 - i X|2)/2 and its conjugate
-    p = mat_scale(HALF, mat_add(x1, mat_scale(-I, x2)))
-    return p, mat_conj(p)
-
-
 def _build_cr():
-    e10, e01 = _cr_pair(_STANDARD[1], _STANDARD[2])
-    t10, t01 = _cr_pair(_STANDARD[3], _STANDARD[4])
-    u10, u01 = _cr_pair(_STANDARD[5], _STANDARD[6])
-    v10, v01 = _cr_pair(_STANDARD[7], _STANDARD[8])
-    return [_STANDARD[0], e10, e01, t10, t01, u10, u01, v10, v01, _STANDARD[9]]
-
-
-def _build_f():
-    cr = _build_cr()
-    inv_r6 = AlgNum.sqrt6(Fraction(1, 6))          # 1/sqrt6
-    inv_r12 = AlgNum.sqrt3(Fraction(1, 6))         # 1/sqrt12 = sqrt3/6
-    f = [mat_scale(inv_r6, cr[0])]
-    # a conjugate pair X(10), X(01) gives s(X(10) + X(01)), i s(X(10) - X(01))
-    for k, s in ((1, inv_r6), (3, inv_r12), (5, inv_r12), (7, inv_r6)):
-        f += [mat_scale(s, mat_add(cr[k], cr[k + 1])),
-              mat_scale(I * s, mat_sub(cr[k], cr[k + 1]))]
-    f.append(mat_scale(inv_r6, cr[9]))
-    return f
+    cr = [_STANDARD[0]]
+    for k in (1, 3, 5, 7):
+        # X(10) = (X|1 - i X|2)/2 and its conjugate X(01)
+        p = mat_scale(HALF, mat_add(_STANDARD[k], mat_scale(-I, _STANDARD[k + 1])))
+        cr += [p, mat_conj(p)]
+    return cr + [_STANDARD[9]]
 
 
 class Basis:
@@ -128,15 +125,12 @@ class Basis:
         self._expansion = None
         self._sc = None
 
-    def _vectorize(self, m):
-        return [m[i][j] for i in range(5) for j in range(5)]
-
     def _build_expansion(self):
         """The 25x10 expansion system A (column k is element k), pivot rows
         P with A[P] invertible, and A[P]^-1, all from one rref of [A^T | 1]:
         the row operations that turn the pivot columns A[P]^T of A^T into
         the identity turn the appended identity into (A[P]^T)^-1."""
-        cols = [self._vectorize(e) for e in self.elements]
+        cols = [_entries(e) for e in self.elements]
         aug = [col + [ONE if k == j else ZERO for k in range(DIM)]
                for j, col in enumerate(cols)]
         red, pivots = linalg.rref(aug)
@@ -146,13 +140,14 @@ class Basis:
         return linalg.transpose(cols), pivots, inverse
 
     def expand(self, matrix) -> list[AlgNum]:
-        """Coefficient vector of a matrix in this basis (exact; raises
-        ValueError off-span).  The coefficients come from the 10 pivot
-        entries through a cached inverse, then must reproduce all 25."""
+        """Coefficient vector of a 5x5 matrix in this basis (exact; raises
+        ValueError off-span or for another shape).  The coefficients come
+        from the 10 pivot entries through a cached inverse, then must
+        reproduce all 25."""
         if self._expansion is None:
             self._expansion = self._build_expansion()
         rows, pivots, inverse = self._expansion
-        target = self._vectorize(matrix)
+        target = _entries(matrix)
         x = linalg.mat_vec(inverse, [target[p] for p in pivots])
         if linalg.mat_vec(rows, x) != target:
             raise ValueError(f"matrix is not in the span of the {self.kind} basis")
@@ -193,7 +188,8 @@ def build_basis(kind: str) -> Basis:
         elif kind == "cr":
             _BASES[kind] = Basis(kind, CR_NAMES, _build_cr())
         elif kind == "f":
-            _BASES[kind] = Basis(kind, F_NAMES, _build_f())
+            _BASES[kind] = Basis(kind, F_NAMES, [mat_scale(s, e)
+                                                 for s, e in zip(_F_SCALES, _STANDARD)])
         else:
             raise ValueError(f"unknown basis kind {kind!r}")
     return _BASES[kind]
@@ -203,13 +199,14 @@ def grading_decomposition() -> dict:
     """Degrees, grading element and distinguished subspace index sets.
 
     Verifies that ad Z, read off the f-basis structure constants, is
-    diagonal with the degrees on the diagonal before returning.
+    diagonal with the degrees on the diagonal before returning: f_Z = s_Z Z,
+    so [f_Z, f_b] must be deg_b s_Z f_b.
     """
-    ad_z = adjoint_matrix(build_basis("standard").elements[Z_INDEX])
-    for a in range(DIM):
-        for b in range(DIM):
-            if ad_z[a][b] != (DEGREES[b] if a == b else 0):
-                raise ArithmeticError(f"basis element {b} is not an ad-Z eigenvector")
+    sc = build_basis("f").structure_constants()
+    for b, deg in enumerate(DEGREES):
+        want = ((b, deg * _F_SCALES[Z_INDEX]),) if deg else None
+        if sc.get((Z_INDEX, b)) != want:
+            raise ArithmeticError(f"basis element {b} is not an ad-Z eigenvector")
     return {
         "degrees": DEGREES,
         "z_index": Z_INDEX,
@@ -221,32 +218,13 @@ def grading_decomposition() -> dict:
     }
 
 
-def _trace_of_product(a: dict, b: dict) -> AlgNum:
-    """trace(A B) for matrices given by their nonzero entries {(row, col): value}."""
-    return sum((x * b[(j, i)] for (i, j), x in a.items() if (j, i) in b), ZERO)
-
-
-def adjoint_matrix(x_matrix):
-    """ad_X as a 10x10 matrix in the f basis:
-    (ad X)^a_b = sum_k x_k c^a_{kb}, with x the coordinates of X."""
-    basis = build_basis("f")
-    sc = basis.structure_constants()
-    out = linalg.zeros(DIM, DIM)
-    for k, xk in enumerate(basis.expand(x_matrix)):
-        if xk.is_zero():
-            continue
-        for b in range(DIM):
-            for a, c in sc.get((k, b), ()):
-                out[a][b] = out[a][b] + xk * c
-    return out
-
-
 def killing_form(x_matrix, y_matrix) -> AlgNum:
-    """trace(ad X o ad Y), exact and basis-independent."""
-    ad_x, ad_y = ({(a, b): c for a, row in enumerate(adjoint_matrix(m))
-                   for b, c in enumerate(row) if not c.is_zero()}
-                  for m in (x_matrix, y_matrix))
-    return _trace_of_product(ad_x, ad_y)
+    """trace(ad X o ad Y) = sum x_a K_ab y_b over the nonzero entries of
+    the f-basis Killing matrix K, x and y the f coordinates of X and Y."""
+    f = build_basis("f")
+    x, y = f.expand(x_matrix), f.expand(y_matrix)
+    return sum((x[a] * k * y[b] for a, row in enumerate(killing_matrix(f))
+                for b, k in enumerate(row) if not k.is_zero()), ZERO)
 
 
 def killing_matrix(basis: Basis):
@@ -259,7 +237,9 @@ def killing_matrix(basis: Basis):
     out = linalg.zeros(DIM, DIM)
     for a in range(DIM):
         for b in range(a, DIM):
-            out[a][b] = out[b][a] = _trace_of_product(ads[a], ads[b])
+            # trace(ad x_a ad x_b) over the nonzero entries
+            out[a][b] = out[b][a] = sum((x * ads[b][(j, i)] for (i, j), x in ads[a].items()
+                                         if (j, i) in ads[b]), ZERO)
     return out
 
 

@@ -22,7 +22,11 @@ from .numfield import AlgNum, ZERO, ONE, HALF
 PYTHAGOREAN_SAMPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
 
 
-def _point(coords) -> list[AlgNum]:
+def _point(coords, n: int = 5) -> list[AlgNum]:
+    """The n coordinates of a point as field elements; a point with another
+    number of coordinates raises ValueError."""
+    if len(coords) != n:
+        raise ValueError(f"expected a point with {n} coordinates, got {len(coords)}")
     return [c if isinstance(c, AlgNum) else AlgNum.of(c) for c in coords]
 
 
@@ -95,7 +99,7 @@ def levi_form_tube(x) -> dict:
 
     Returns the holomorphic tangent basis, the restricted Levi matrix,
     its kernel, and whether the kernel is the complex radial line."""
-    p = _point(x)
+    p = _point(x, 3)
     if any(not c.is_real() for c in p):
         raise ValueError("cone points have real coordinates")
     x1, x2, x3 = p

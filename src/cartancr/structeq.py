@@ -395,8 +395,9 @@ def equations_to_json(eqs: list[Equation]) -> str:
 def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equation]:
     """Inverse of equations_to_json; a bad or repeated generator, a pair
     that is not two entries long, an mc pair that is not i < j in 0..9 or
-    is repeated, a bad or repeated rhs pair, a bad constrained flag, a
-    missing field or a value of the wrong JSON type raises ValueError."""
+    is repeated or has coefficient zero, a bad or repeated rhs pair, a bad
+    constrained flag, a missing field or a value of the wrong JSON type
+    raises ValueError."""
     data = json.loads(text)
     eqs = []
     try:
@@ -411,7 +412,8 @@ def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equa
                         and i < j and pair not in mc):
                     raise ValueError(f"bad mc pair {term['pair']!r} of generator {gen}: "
                                      "not i < j in 0..9, or repeated")
-                mc[pair] = PolyCoeff.const(AlgNum.deserialize(term["coeff"]))
+                mc[pair] = PolyCoeff.const(_json_coeff(
+                    term["coeff"], f"mc term {term['pair']!r} of generator {gen}"))
             rhs = {}
             for t in item["rhs"]:
                 if type(t["constrained"]) is not bool:
@@ -470,11 +472,22 @@ def _json_entries(value, n: int, what: str) -> tuple:
     return tuple(value)
 
 
+def _json_coeff(text, what: str) -> AlgNum:
+    """A serialized coefficient, which must be nonzero: the writers never
+    emit a zero term, so one marks a malformed file.  Zero raises
+    ValueError naming `what`."""
+    coeff = AlgNum.deserialize(text)
+    if coeff.is_zero():
+        raise ValueError(f"bad {what}: coefficient {text!r} is zero")
+    return coeff
+
+
 def load_constraints(text: str) -> ConstraintTable:
     """Build the table from its JSON description: groups of zero slots plus
     relation entries with PolyCoeff right-hand sides.  A slot or symbol that
     names no curvature symbol or is not three entries long, a name that is
-    not a string, a missing field or a value of the wrong JSON type raises
+    not a string, an rhs term with coefficient zero, an rhs that is empty or
+    sums to zero, a missing field or a value of the wrong JSON type raises
     ValueError."""
     data = json.loads(text)
     table = ConstraintTable()
@@ -491,7 +504,9 @@ def load_constraints(text: str) -> ConstraintTable:
                 syms = [_json_entries(sym, 3, f"symbol in relation {name!r}")
                         for sym in term["symbols"]]
                 rhs.add(tuple(symbol_key(u, pair) for u, *pair in syms),
-                        AlgNum.deserialize(term["coeff"]))
+                        _json_coeff(term["coeff"], f"rhs term in relation {name!r}"))
+            if rhs.is_zero():
+                raise ValueError(f"bad relation {name!r}: its rhs is empty or sums to zero")
             upper, *pair = _json_entries(rel["slot"], 3, f"slot in relation {name!r}")
             table.add_relation((upper, pair), rhs, name)
     except (KeyError, TypeError) as exc:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cartancr import linalg
 from cartancr.liealg import (CAL_I, CONGRUENCE_S, CR_CONJ, DEGREES, DIM, I32,
-                             Z_INDEX, Basis, adjoint_matrix, build_basis,
+                             Z_INDEX, Basis, build_basis,
                              change_of_basis, commutator, grading_decomposition,
                              killing_form, killing_matrix, mat_add, mat_conj,
                              mat_scale, membership_so32)
@@ -134,6 +134,16 @@ def test_grading_dimensions_and_eigenvalues():
     assert sum(g["dims"].values()) == DIM
 
 
+def test_grading_check_catches_wrong_degrees(monkeypatch):
+    # swapping the degrees -2 and 2 keeps every block dimension, so only
+    # the ad-Z eigenvalue check can see it
+    degrees = list(DEGREES)
+    degrees[0], degrees[9] = degrees[9], degrees[0]
+    monkeypatch.setattr("cartancr.liealg.DEGREES", tuple(degrees))
+    with pytest.raises(ArithmeticError, match="not an ad-Z eigenvector"):
+        grading_decomposition()
+
+
 def test_bracket_respects_degrees():
     # [g_i, g_j] lands in g_{i+j} (zero when i+j is out of range)
     sc = build_basis("standard").structure_constants()
@@ -221,6 +231,19 @@ def test_expand_rejects_off_span():
         basis.expand(bad)
 
 
+@pytest.mark.parametrize("row_lengths", [(6,) * 5, (5,) * 6, (5,) * 4, (4,) * 5, (),
+                                         (5, 5, 6, 5, 5)],
+                         ids=["5x6", "6x5", "4x5", "5x4", "empty", "ragged"])
+def test_matrices_of_the_wrong_shape_raise(row_lengths):
+    # zip and fixed index ranges would read a 5x5 corner of a zero matrix
+    bad = [[ZERO] * n for n in row_lengths]
+    with pytest.raises(ValueError, match="5x5"):
+        membership_so32(bad)
+    for kind in ("standard", "cr", "f"):
+        with pytest.raises(ValueError, match="5x5"):
+            build_basis(kind).expand(bad)
+
+
 @pytest.mark.parametrize("kind", ["standard", "cr", "f"])
 def test_expand_checks_every_entry(kind):
     # no single-entry matrix lies in so(3,2), so changing any one of the 25
@@ -299,16 +322,3 @@ def test_killing_symmetry_and_invariance(u, v, w):
     assert killing_form(x, y) == killing_form(y, x) == _trace3(x, y)
     # ad-invariance: K([x,y],z) + K(y,[x,z]) = 0
     assert killing_form(commutator(x, y), z) + killing_form(y, commutator(x, z)) == ZERO
-
-
-@given(vectors)
-@settings(max_examples=15, deadline=None)
-def test_adjoint_matrix_preserves_membership(u):
-    x = _combo(u)
-    assert membership_so32(x)
-    f = build_basis("f")
-    ad = adjoint_matrix(x)
-    assert len(ad) == DIM and len(ad[0]) == DIM
-    # column b of ad x holds the coordinates of the matrix commutator [x, f_b]
-    for b in range(DIM):
-        assert [row[b] for row in ad] == f.expand(commutator(x, f.elements[b]))

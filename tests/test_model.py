@@ -41,6 +41,29 @@ def test_zero_vector_rejected():
         model.membership_model((ZERO,) * 5)
 
 
+_X = liealg.build_basis("standard").elements[0]
+_POINT_FUNCTIONS = {
+    "symmetric_pairing": lambda p: model.symmetric_pairing(p, p),
+    "hermitian_pairing": lambda p: model.hermitian_pairing(p, p),
+    "membership_model": model.membership_model,
+    "to_exchange_chart": model.to_exchange_chart,
+    "from_exchange_chart": model.from_exchange_chart,
+    "infinitesimal_action": lambda p: model.infinitesimal_action(_X, p),
+    "tangency_defects": lambda p: model.tangency_defects(_X, p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_FUNCTIONS))
+@pytest.mark.parametrize("point", [(ONE, I, ZERO, ONE, -I, AlgNum.of(7)),
+                                   (ONE, I, ZERO, ONE), ()],
+                         ids=["6-coordinates", "4-coordinates", "empty"])
+def test_points_of_the_wrong_length_raise(name, point):
+    # zip would drop a sixth coordinate, and a member with one appended
+    # passed as a member
+    with pytest.raises(ValueError, match="5 coordinates"):
+        _POINT_FUNCTIONS[name](point)
+
+
 def test_membership_is_projective():
     # scaling by a nonzero field element never changes the verdict
     for lam in (AlgNum.of(2) + I, I, AlgNum.sqrt2() - I):

@@ -1,6 +1,7 @@
 """Symbolic structure equations, constraints, serialization, frame change."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -337,7 +338,27 @@ def _equation_fixture(generator, pair):
                                       "rhs": [{"pair": pair, "constrained": False}]}]})
 
 
+def _relation_rhs_fixture(*coeffs):
+    return json.dumps({"groups": [], "relations": [
+        {"name": "vanishing", "slot": [5, 0, 1],
+         "rhs": [{"coeff": c, "symbols": [[1, 0, 3]]} for c in coeffs]}]})
+
+
+# a term that vanishes is never written, so the loaders refuse it and name
+# where it sits: (id, loader, text, the generator or relation named)
+_VANISHING = [
+    ("mc-coeff-zero", equations_from_json, json.dumps({"equations": [
+        {"generator": 4, "mc": [{"pair": [0, 5], "coeff": "0"}], "rhs": []}]}), "generator 4"),
+    ("relation-rhs-coeff-zero", load_constraints, _relation_rhs_fixture("1", "0"),
+     "relation 'vanishing'"),
+    ("relation-rhs-cancels", load_constraints, _relation_rhs_fixture("1", "-1"),
+     "relation 'vanishing'"),
+    ("relation-rhs-empty", load_constraints, _relation_rhs_fixture(), "relation 'vanishing'"),
+]
+
+
 _MALFORMED = [
+    *[case[:3] for case in _VANISHING],
     *[("zero-slot-" + ",".join(map(str, slot)), load_constraints, _zero_slot_fixture(slot))
       for slot in ([1, 3, 0], [-1, 0, 1], [1, 2, 2], [12, 0, 1], [1, 0, 7])],
     ("relation-slot", load_constraints, _relation_fixture([1, 3, 0], [5, 0, 1])),
@@ -405,6 +426,13 @@ def test_malformed_slots_raise_value_error(load, text):
     # a slot outside 0..9 x {b < c in 0..4} names no curvature symbol; it
     # must not be stored, nor reach a table lookup through a negative index
     with pytest.raises(ValueError, match="bad"):
+        load(text)
+
+
+@pytest.mark.parametrize("load, text, where", [case[1:] for case in _VANISHING],
+                         ids=[case[0] for case in _VANISHING])
+def test_vanishing_terms_name_their_generator_or_relation(load, text, where):
+    with pytest.raises(ValueError, match=re.escape(where)):
         load(text)
 
 
