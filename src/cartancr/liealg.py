@@ -18,6 +18,7 @@ Degrees by position are (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2) in every basis.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from fractions import Fraction
 
 from . import linalg
@@ -71,11 +72,15 @@ CR_CONJ = (0, 2, 1, 4, 3, 6, 5, 8, 7, 9)
 
 
 def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """a + b; operands of different shapes raise ValueError."""
+    return [[x + y for x, y in zip(ra, rb, strict=True)]
+            for ra, rb in zip(a, b, strict=True)]
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """a - b; operands of different shapes raise ValueError."""
+    return [[x - y for x, y in zip(ra, rb, strict=True)]
+            for ra, rb in zip(a, b, strict=True)]
 
 
 def mat_scale(c, a):
@@ -223,8 +228,15 @@ def killing_form(x_matrix, y_matrix) -> AlgNum:
     the f-basis Killing matrix K, x and y the f coordinates of X and Y."""
     f = build_basis("f")
     x, y = f.expand(x_matrix), f.expand(y_matrix)
-    return sum((x[a] * k * y[b] for a, row in enumerate(killing_matrix(f))
-                for b, k in enumerate(row) if not k.is_zero()), ZERO)
+    return sum((x[a] * k * y[b] for a, b, k in _f_gram()), ZERO)
+
+
+@cache
+def _f_gram() -> tuple:
+    """The nonzero entries (a, b, K_ab) of the f-basis Killing matrix,
+    computed once: the f basis is fixed."""
+    return tuple((a, b, k) for a, row in enumerate(killing_matrix(build_basis("f")))
+                 for b, k in enumerate(row) if not k.is_zero())
 
 
 def killing_matrix(basis: Basis):

@@ -32,8 +32,8 @@ def _point(coords, n: int = 5) -> list[AlgNum]:
 
 def symmetric_pairing(t, s) -> AlgNum:
     t, s = _point(t), _point(s)
-    eps = (1, 1, 1, -1, -1)
-    return sum((AlgNum.of(e) * a * b for e, a, b in zip(eps, t, s)), ZERO)
+    # the signs of I32 = diag(1, 1, 1, -1, -1)
+    return t[0] * s[0] + t[1] * s[1] + t[2] * s[2] - t[3] * s[3] - t[4] * s[4]
 
 
 def hermitian_pairing(t, s) -> AlgNum:
@@ -87,10 +87,15 @@ def tangency_defects(x_matrix, coords) -> tuple[AlgNum, AlgNum]:
     """Flow derivatives of the two defining pairings at a model point;
     both vanish identically for algebra elements.  The derivative of
     (w, w) is (Xw, w) + (w, Xw) = 2 (Xw, w), and that of <w, w> is
-    <Xw, w> + <w, Xw> = h + conj(h) with h = <Xw, w>."""
-    w = _point(coords)
-    aw = from_exchange_chart(linalg.mat_vec(x_matrix, to_exchange_chart(w)))
-    s, h = symmetric_pairing(aw, w), hermitian_pairing(aw, w)
+    <Xw, w> + <w, Xw> = h + conj(h) with h = <Xw, w>.
+
+    Both are read in the exchange chart: w = S v with S real and
+    S^T I32 S = CalI, so with u = X v the pairings are
+    (Su, Sv) = sum u_k v_{4-k} and <Su, Sv> = sum conj(u_k) v_{4-k}."""
+    v = to_exchange_chart(coords)
+    u = _point(linalg.mat_vec(x_matrix, v))
+    s = sum((a * b for a, b in zip(u, reversed(v))), ZERO)
+    h = sum((a.conj() * b for a, b in zip(u, reversed(v))), ZERO)
     return s + s, h + h.conj()
 
 

@@ -22,15 +22,6 @@ from typing import Union
 # radical basis indices
 _ONE, _R2, _R3, _R6 = 0, 1, 2, 3
 
-# multiplication table for the radical basis: [i][j] -> (rational factor, index)
-# sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
-_RADICAL_MUL = (
-    ((1, _ONE), (1, _R2), (1, _R3), (1, _R6)),
-    ((1, _R2), (2, _ONE), (1, _R6), (2, _R3)),
-    ((1, _R3), (1, _R6), (3, _ONE), (3, _R2)),
-    ((1, _R6), (2, _R3), (3, _R2), (6, _ONE)),
-)
-
 _RADICAL_FLOAT = (1.0, 2 ** 0.5, 3 ** 0.5, 6 ** 0.5)
 
 # one term of a serialized part: a sign, then q, q*rK or rK, with q digits
@@ -158,20 +149,28 @@ class AlgNum:
             return self
         if not any(b):
             return other
-        n = [0] * 8
-        for i in range(4):
-            a_re, a_im = a[i], a[i + 4]
-            if not (a_re or a_im):
-                continue
-            row = _RADICAL_MUL[i]
-            for j in range(4):
-                b_re, b_im = b[j], b[j + 4]
-                if not (b_re or b_im):
-                    continue
-                fac, k = row[j]
-                n[k] += fac * (a_re * b_re - a_im * b_im)
-                n[k + 4] += fac * (a_re * b_im + a_im * b_re)
-        return _reduced(n, self._d * other._d)
+        # (p + i q)(r + i s) over (1, sqrt2, sqrt3, sqrt6), with
+        # sqrt2 sqrt3 = sqrt6, sqrt2 sqrt6 = 2 sqrt3, sqrt3 sqrt6 = 3 sqrt2
+        p0, p1, p2, p3, q0, q1, q2, q3 = a
+        r0, r1, r2, r3, s0, s1, s2, s3 = b
+        return _reduced((
+            p0 * r0 - q0 * s0 + 2 * (p1 * r1 - q1 * s1)
+            + 3 * (p2 * r2 - q2 * s2) + 6 * (p3 * r3 - q3 * s3),
+            p0 * r1 + p1 * r0 - q0 * s1 - q1 * s0
+            + 3 * (p2 * r3 + p3 * r2 - q2 * s3 - q3 * s2),
+            p0 * r2 + p2 * r0 - q0 * s2 - q2 * s0
+            + 2 * (p1 * r3 + p3 * r1 - q1 * s3 - q3 * s1),
+            p0 * r3 + p3 * r0 + p1 * r2 + p2 * r1
+            - q0 * s3 - q3 * s0 - q1 * s2 - q2 * s1,
+            p0 * s0 + q0 * r0 + 2 * (p1 * s1 + q1 * r1)
+            + 3 * (p2 * s2 + q2 * r2) + 6 * (p3 * s3 + q3 * r3),
+            p0 * s1 + p1 * s0 + q0 * r1 + q1 * r0
+            + 3 * (p2 * s3 + p3 * s2 + q2 * r3 + q3 * r2),
+            p0 * s2 + p2 * s0 + q0 * r2 + q2 * r0
+            + 2 * (p1 * s3 + p3 * s1 + q1 * r3 + q3 * r1),
+            p0 * s3 + p3 * s0 + p1 * s2 + p2 * s1
+            + q0 * r3 + q3 * r0 + q1 * r2 + q2 * r1,
+        ), self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -343,8 +342,9 @@ def _fractions(n: tuple, d: int) -> tuple:
     return tuple(Fraction(c, d) for c in n)
 
 
-def _reduced(n: list, d: int) -> AlgNum:
-    """The element n/d in lowest terms (one gcd over all nine integers)."""
+def _reduced(n, d: int) -> AlgNum:
+    """The element n/d, n eight integers, in lowest terms (one gcd over
+    all nine integers)."""
     g = gcd(d, *n)
     if g != 1:
         return AlgNum._make(tuple(c // g for c in n), d // g)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 
 from . import liealg
 from .numfield import AlgNum, ONE, I, HALF
@@ -241,8 +242,14 @@ class Form(_Sum):
 
 def maurer_cartan_forms() -> dict[int, Form]:
     """d gen^A = -1/2 c^A_{BC} gen^B ^ gen^C = sum over B < C of
-    c^A_{CB} gen^B ^ gen^C, from the nonzero cr structure constants; a
-    fresh dict of fresh forms on every call."""
+    c^A_{CB} gen^B ^ gen^C, from the nonzero cr structure constants.
+    A fresh dict on every call, of forms built once and shared by every
+    caller: replace an entry, never change a form in place."""
+    return dict(_maurer_cartan_forms())
+
+
+@cache
+def _maurer_cartan_forms() -> dict[int, Form]:
     sc = liealg.build_basis("cr").structure_constants()
     terms = {a: {} for a in range(liealg.DIM)}
     for pair in sc:
@@ -362,6 +369,8 @@ def equations_diff(got: list[Equation], want: list[Equation]) -> list[str]:
         if eq.mc != ref.mc:
             diffs += [f"gen {eq.generator}: mc term {pair} differs by {poly.name()}"
                       for pair, poly in sorted((eq.mc - ref.mc).terms.items())]
+        if eq.rhs == ref.rhs:
+            continue
         for pair in sorted(set(eq.rhs) | set(ref.rhs)):
             a, b = eq.rhs.get(pair), ref.rhs.get(pair)
             if a is None:

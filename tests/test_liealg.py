@@ -10,7 +10,7 @@ from cartancr.liealg import (CAL_I, CONGRUENCE_S, CR_CONJ, DEGREES, DIM, I32,
                              Z_INDEX, Basis, build_basis,
                              change_of_basis, commutator, grading_decomposition,
                              killing_form, killing_matrix, mat_add, mat_conj,
-                             mat_scale, membership_so32)
+                             mat_scale, mat_sub, membership_so32)
 from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF
 
 R3 = AlgNum.sqrt3(Fraction(1, 3))    # 1/sqrt3
@@ -242,6 +242,19 @@ def test_matrices_of_the_wrong_shape_raise(row_lengths):
     for kind in ("standard", "cr", "f"):
         with pytest.raises(ValueError, match="5x5"):
             build_basis(kind).expand(bad)
+
+
+@pytest.mark.parametrize("row_lengths", [(6,) * 5, (5,) * 4], ids=["5x6", "4x5"])
+def test_elementwise_operations_refuse_other_shapes(row_lengths):
+    # zip would cut the operand to the 5x5 corner it shares with the other
+    # one: a 5x6 b with b[0][5] = 1 added to zero gave the zero matrix
+    bad = [[ZERO] * n for n in row_lengths]
+    bad[0][-1] = ONE
+    square = build_basis("f").elements[0]
+    for op in (mat_add, mat_sub, commutator):
+        for a, b in ((square, bad), (bad, square)):
+            with pytest.raises(ValueError):
+                op(a, b)
 
 
 @pytest.mark.parametrize("kind", ["standard", "cr", "f"])

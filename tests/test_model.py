@@ -1,5 +1,6 @@
 """The projective model hypersurface and its tube realization."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,30 @@ def test_tangency_defects_detect_non_algebra_flows():
             assert d_sym == model.symmetric_pairing(xw, w) + model.symmetric_pairing(w, xw)
             assert d_herm == model.hermitian_pairing(xw, w) + model.hermitian_pairing(w, xw)
         assert flagged
+
+
+def _dense(rng):
+    # all eight coordinates over (1, sqrt2, sqrt3, sqrt6) x (1, i) nonzero
+    return AlgNum([Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                   for _ in range(4)],
+                  [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                   for _ in range(4)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tangency_defects_equal_the_model_chart_pairings(seed):
+    # the defects are read in the exchange chart; the model-chart route,
+    # Xw carried back by S and paired with w, must give the same numbers
+    # exactly, also for X outside the algebra and w off the hypersurface
+    rng = random.Random(seed)
+    x = [[_dense(rng) for _ in range(5)] for _ in range(5)]
+    assert not liealg.membership_so32(x)
+    for _ in range(3):
+        w = [_dense(rng) for _ in range(5)]
+        assert not model.membership_model(w)["member"]
+        xw = model.from_exchange_chart(linalg.mat_vec(x, model.to_exchange_chart(w)))
+        s, h = model.symmetric_pairing(xw, w), model.hermitian_pairing(xw, w)
+        assert model.tangency_defects(x, w) == (s + s, h + h.conj())
 
 
 def test_levi_matrix_at_345():

@@ -95,7 +95,9 @@ def test_ring_operations_return_fraction_coordinates(a, b, q):
 
 
 # products of the radical basis (1, sqrt2, sqrt3, sqrt6), written out:
-# [i][j] -> (rational factor, index of the radical)
+# [i][j] -> (rational factor, index of the radical); _ref_mul reads the
+# product from this table, an oracle independent of the closed form
+# that AlgNum.__mul__ writes out
 _RADICAL_PRODUCT = (
     ((1, 0), (1, 1), (1, 2), (1, 3)),
     ((1, 1), (2, 0), (1, 3), (2, 2)),
@@ -135,6 +137,38 @@ def _ref_inv(b):
                 f = rows[r][col]
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
     return tuple(row[8] for row in rows)
+
+
+_nonzero_coords = st.one_of(
+    fractions, st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+).filter(lambda q: q != 0)
+_eight = st.lists(_nonzero_coords, min_size=8, max_size=8)
+
+
+def _one_coordinate(k, q):
+    coords = [0] * 8
+    coords[k] = q
+    return AlgNum(coords[:4], coords[4:])
+
+
+# the operand shapes the package multiplies: dense (seeded bench inputs),
+# one coordinate (the basis normalizers), rational, purely imaginary, zero
+shaped = st.one_of(
+    _eight.map(lambda c: AlgNum(c[:4], c[4:])),
+    st.builds(_one_coordinate, st.integers(0, 7), _nonzero_coords),
+    _nonzero_coords.map(AlgNum.of),
+    _eight.map(lambda c: AlgNum((0, 0, 0, 0), c[4:])),
+    st.just(ZERO),
+)
+
+
+@given(shaped, shaped)
+def test_product_matches_the_radical_table(x, y):
+    got = x * y
+    assert _canonical(got)
+    assert _ref(got) == _ref_mul(_ref(x), _ref(y))
+    tol = 1e-12 * (1.0 + _size(x)) * (1.0 + _size(y))
+    assert abs(got.to_complex() - x.to_complex() * y.to_complex()) <= tol
 
 
 def _canonical(x):

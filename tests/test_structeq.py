@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from cartancr import cli
 from cartancr.structeq import (CONJ_GEN, GENERATOR_LATEX, GENERATOR_NAMES,
                                S_SYMBOL, T_SYMBOL, THETA_PAIRS, ConstraintTable,
-                               Form, PolyCoeff, _conj_slot, algnum_latex,
+                               Equation, Form, PolyCoeff, _conj_slot, algnum_latex,
                                constraints_to_json, constraints_to_latex,
                                equations_diff, equations_from_json,
                                equations_to_json, equations_to_latex,
@@ -53,6 +54,37 @@ def test_maurer_cartan_forms_frozen():
     for a in range(10):
         want = {pair: PolyCoeff.const(c) for pair, c in MC_TABLE[a].items()}
         assert rules[a].terms == want, GENERATOR_NAMES[a]
+
+
+def _mc_table_holds(rules) -> bool:
+    return all(rules[a].terms == {pair: PolyCoeff.const(c) for pair, c in MC_TABLE[a].items()}
+               for a in range(10))
+
+
+def test_shared_maurer_cartan_forms_survive_every_caller():
+    # the forms are built once and shared; every caller in the package
+    # must leave them as they were
+    shared = maurer_cartan_forms()
+    cli.run_suite("all", FIXTURES)
+    for kind in cli.EMITS:
+        for fmt in ("latex", "json"):
+            cli.emit_artifacts(kind, fmt, FIXTURES)
+    verify_iz_change_of_frame(True)
+    verify_iz_change_of_frame(False)
+    rules = maurer_cartan_forms()
+    assert _mc_table_holds(rules)
+    assert all(rules[a] is shared[a] for a in range(10))
+
+
+def test_maurer_cartan_forms_returns_a_fresh_dict():
+    rules = maurer_cartan_forms()
+    rules[1] = rules[1] + Form({(0, 3): PolyCoeff.symbol(T_SYMBOL)})
+    rules[17] = Form()
+    del rules[9]
+    again = maurer_cartan_forms()
+    assert again is not rules
+    assert sorted(again) == list(range(10))
+    assert _mc_table_holds(again)
 
 
 def test_wedge_antisymmetry():
@@ -175,6 +207,35 @@ def test_unconstrained_system_differs():
     got = generate_structure_equations(ConstraintTable())
     assert all(len(e.rhs) == len(THETA_PAIRS) for e in got)
     assert equations_diff(got, _load_reference())
+
+
+def _with(eqs, g, mc=None, rhs=None):
+    """A copy of the system with equation g's mc or rhs replaced."""
+    return [Equation(e.generator, mc if e.generator == g and mc is not None else e.mc,
+                     dict(rhs if e.generator == g and rhs is not None else e.rhs))
+            for e in eqs]
+
+
+def test_equations_diff_reports_each_kind_of_difference():
+    got = generate_structure_equations(_load_table())
+    assert equations_diff(got, _with(got, 0)) == []
+    # rhs equal, mc different: only the mc term is reported
+    mc = got[3].mc + Form({(1, 7): PolyCoeff.const(ONE)})
+    assert equations_diff(got, _with(got, 3, mc=mc)) == [
+        "gen 3: mc term (1, 7) differs by (-1)"]
+    # one flag different
+    rhs = dict(got[5].rhs)
+    pair = sorted(rhs)[2]
+    rhs[pair] = not rhs[pair]
+    assert equations_diff(got, _with(got, 5, rhs=rhs)) == [
+        f"gen 5: flag mismatch at {pair}"]
+    # one pair missing from got, then present only in got
+    rhs = dict(got[7].rhs)
+    pair = sorted(rhs)[0]
+    del rhs[pair]
+    short = _with(got, 7, rhs=rhs)
+    assert equations_diff(short, got) == [f"gen 7: missing term at {pair}"]
+    assert equations_diff(got, short) == [f"gen 7: extra term at {pair}"]
 
 
 def test_reality_involution():
