@@ -8,29 +8,43 @@ kernels and the torsion complement), `structeq` (symbolic coframe
 structure equations and the frame-change check), `model` (the projective
 hypersurface and the tube over the light cone), `cli` (verification
 suites and artifact emission).
+
+Importing the package loads none of them: each name below is imported
+from its home submodule on first use.
 """
 
-from . import cohomology, liealg, linalg, model, structeq
-from .cohomology import codifferential_kernel, torsion_complement
-from .liealg import build_basis, grading_decomposition, killing_matrix
-from .numfield import AlgNum
-from .structeq import (generate_structure_equations, load_constraints,
-                       verify_iz_change_of_frame)
+# public name -> the submodule that defines it; a submodule names itself
+_HOMES = {
+    "AlgNum": "numfield",
+    "build_basis": "liealg",
+    "codifferential_kernel": "cohomology",
+    "cohomology": "cohomology",
+    "generate_structure_equations": "structeq",
+    "grading_decomposition": "liealg",
+    "killing_matrix": "liealg",
+    "liealg": "liealg",
+    "linalg": "linalg",
+    "load_constraints": "structeq",
+    "model": "model",
+    "structeq": "structeq",
+    "torsion_complement": "cohomology",
+    "verify_iz_change_of_frame": "structeq",
+}
 
-__all__ = [
-    "AlgNum",
-    "build_basis",
-    "codifferential_kernel",
-    "cohomology",
-    "generate_structure_equations",
-    "grading_decomposition",
-    "killing_matrix",
-    "liealg",
-    "linalg",
-    "load_constraints",
-    "model",
-    "structeq",
-    "torsion_complement",
-    "verify_iz_change_of_frame",
-]
+__all__ = list(_HOMES)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # imported here, so that `import cartancr` loads nothing beyond this file
+    from importlib import import_module
+    module = import_module(f"{__name__}.{_HOMES[name]}")
+    value = module if _HOMES[name] == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

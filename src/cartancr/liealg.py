@@ -255,12 +255,6 @@ def killing_matrix(basis: Basis):
     return out
 
 
-def change_of_basis(frm: Basis, to: Basis):
-    """Matrix P with to-coordinates = P @ from-coordinates."""
-    cols = [to.expand(e) for e in frm.elements]
-    return [[cols[j][i] for j in range(DIM)] for i in range(DIM)]
-
-
 # hyperbolic-pair matrix relating diag(1,1,1,-1,-1) coordinates to the
 # anti-diagonal form: S^T I32 S = CalI exactly
 _H = AlgNum.sqrt2(Fraction(1, 2))    # 1/sqrt2

@@ -75,14 +75,6 @@ def from_exchange_chart(coords) -> list[AlgNum]:
     return linalg.mat_vec(liealg.CONGRUENCE_S, _point(coords))
 
 
-def infinitesimal_action(x_matrix, coords) -> list[AlgNum]:
-    """Velocity of the one-parameter flow of an algebra element at a model
-    point, in model coordinates.  Refuses points off the hypersurface."""
-    if not membership_model(coords)["member"]:
-        raise ValueError("point is not on the model hypersurface")
-    return from_exchange_chart(linalg.mat_vec(x_matrix, to_exchange_chart(coords)))
-
-
 def tangency_defects(x_matrix, coords) -> tuple[AlgNum, AlgNum]:
     """Flow derivatives of the two defining pairings at a model point;
     both vanish identically for algebra elements.  The derivative of

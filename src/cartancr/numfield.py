@@ -17,7 +17,6 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import neg
-from typing import Union
 
 # radical basis indices
 _ONE, _R2, _R3, _R6 = 0, 1, 2, 3
@@ -29,7 +28,7 @@ _RADICAL_FLOAT = (1.0, 2 ** 0.5, 3 ** 0.5, 6 ** 0.5)
 _TERM = re.compile(r"([+-]?)(?:([0-9]+(?:/[0-9]+)?)(?:\*r([236]))?|r([236]))")
 _TERM_INDEX = {None: _ONE, "2": _R2, "3": _R3, "6": _R6}
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 class AlgNum:

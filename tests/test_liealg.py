@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from cartancr import linalg
 from cartancr.liealg import (CAL_I, CONGRUENCE_S, CR_CONJ, DEGREES, DIM, I32,
-                             Z_INDEX, Basis, build_basis,
-                             change_of_basis, commutator, grading_decomposition,
-                             killing_form, killing_matrix, mat_add, mat_conj,
-                             mat_scale, mat_sub, membership_so32)
+                             Z_INDEX, Basis, build_basis, commutator,
+                             grading_decomposition, killing_form,
+                             killing_matrix, mat_add, mat_conj, mat_scale,
+                             mat_sub, membership_so32)
 from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF
 
 R3 = AlgNum.sqrt3(Fraction(1, 3))    # 1/sqrt3
@@ -209,13 +209,12 @@ def test_change_of_basis_witnesses():
     row = cr.expand(f.elements[1])
     assert row[1] == R6 and row[2] == R6
     assert all(row[k] == ZERO for k in range(DIM) if k not in (1, 2))
-    # P(std->f) columns actually re-express the standard elements
-    p = change_of_basis(std, f)
-    for j in range(DIM):
+    # the f-coordinates of each standard element re-express it
+    for e in std.elements:
         combo = linalg.zeros(5, 5)
-        for i in range(DIM):
-            combo = mat_add(combo, mat_scale(p[i][j], f.elements[i]))
-        assert combo == std.elements[j]
+        for c, x in zip(f.expand(e), f.elements, strict=True):
+            combo = mat_add(combo, mat_scale(c, x))
+        assert combo == e
 
 
 def test_congruence_relates_the_two_forms():

@@ -49,7 +49,6 @@ _POINT_FUNCTIONS = {
     "membership_model": model.membership_model,
     "to_exchange_chart": model.to_exchange_chart,
     "from_exchange_chart": model.from_exchange_chart,
-    "infinitesimal_action": lambda p: model.infinitesimal_action(_X, p),
     "tangency_defects": lambda p: model.tangency_defects(_X, p),
 }
 
@@ -88,14 +87,6 @@ def test_chart_intertwines_pairings():
     cal = sum((pu[i] * liealg.CAL_I[i][j] * pv[j]
                for i in range(5) for j in range(5)), ZERO)
     assert model.symmetric_pairing(list(u), list(v)) == cal
-
-
-def test_infinitesimal_action_requires_membership():
-    x = liealg.build_basis("standard").elements[0]
-    with pytest.raises(ValueError):
-        model.infinitesimal_action(x, (ONE, ZERO, ZERO, ZERO, ZERO))
-    vel = model.infinitesimal_action(x, MEMBERS[0])
-    assert len(vel) == 5
 
 
 def test_tangency_defects_detect_non_algebra_flows():
