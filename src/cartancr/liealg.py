@@ -103,12 +103,33 @@ def _entries(m) -> list[AlgNum]:
     return [x for row in m for x in row]
 
 
+def _form_defects(matrix) -> tuple[dict, dict]:
+    """The membership defects D(A) = CAL_I A + A^T CAL_I and
+    H(A) = CAL_I A + A^H CAL_I as their nonzero entries (i, j) -> value
+    with i <= j, read off the 25 entries of A: CAL_I reverses the rows, so
+    D_ij = A_(4-i)j + A_(4-j)i and H_ij = A_(4-i)j + conj A_(4-j)i.
+    D is symmetric and H hermitian, so the upper triangle holds both.
+    ValueError unless A is 5x5."""
+    a = _entries(matrix)
+    sym, herm = {}, {}
+    for i in range(5):
+        for j in range(i, 5):
+            x, y = a[20 - 5 * i + j], a[20 - 5 * j + i]
+            if x.is_zero() and y.is_zero():
+                continue
+            d = x + y
+            if not d.is_zero():
+                sym[i, j] = d
+            h = d if y.is_real() else x + y.conj()
+            if not h.is_zero():
+                herm[i, j] = h
+    return sym, herm
+
+
 def membership_so32(matrix) -> bool:
-    """A^T * CAL_I + CAL_I * A == 0, exactly; ValueError unless A is 5x5."""
-    _entries(matrix)
-    lhs = mat_add(linalg.mat_mul(linalg.transpose(matrix), CAL_I),
-                  linalg.mat_mul(CAL_I, matrix))
-    return all(x.is_zero() for row in lhs for x in row)
+    """A^T * CAL_I + CAL_I * A == 0, exactly: D(A) has no nonzero entry.
+    ValueError unless A is 5x5."""
+    return not _form_defects(matrix)[0]
 
 
 def _build_cr():

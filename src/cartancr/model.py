@@ -82,13 +82,27 @@ def tangency_defects(x_matrix, coords) -> tuple[AlgNum, AlgNum]:
     <Xw, w> + <w, Xw> = h + conj(h) with h = <Xw, w>.
 
     Both are read in the exchange chart: w = S v with S real and
-    S^T I32 S = CalI, so with u = X v the pairings are
-    (Su, Sv) = sum u_k v_{4-k} and <Su, Sv> = sum conj(u_k) v_{4-k}."""
-    v = to_exchange_chart(coords)
-    u = _point(linalg.mat_vec(x_matrix, v))
-    s = sum((a * b for a, b in zip(u, reversed(v))), ZERO)
-    h = sum((a.conj() * b for a, b in zip(u, reversed(v))), ZERO)
-    return s + s, h + h.conj()
+    S^T I32 S = CalI, so they are the quadratic forms v^T D v and v^H H v
+    of the membership defects D = CalI X + X^T CalI and
+    H = CalI X + X^H CalI.  The point is mapped only when one of them has
+    a nonzero entry; for real algebra elements neither has.  ValueError
+    unless X is 5x5."""
+    w = _point(coords)
+    sym, herm = liealg._form_defects(x_matrix)
+    if not (sym or herm):
+        return ZERO, ZERO
+    v = to_exchange_chart(w)
+    vc = [c.conj() for c in v]
+    # an off-diagonal entry stands for itself and its mirror image
+    s = ZERO
+    for (i, j), d in sym.items():
+        t = d * v[i] * v[j]
+        s = s + (t if i == j else t + t)
+    h = ZERO
+    for (i, j), e in herm.items():
+        t = vc[i] * e * v[j]
+        h = h + (t if i == j else t + t.conj())
+    return s, h
 
 
 def levi_form_tube(x) -> dict:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cartancr import linalg
+from cartancr import linalg, model
 from cartancr.liealg import (CAL_I, CONGRUENCE_S, CR_CONJ, DEGREES, DIM, I32,
                              Z_INDEX, Basis, build_basis, commutator,
                              grading_decomposition, killing_form,
@@ -241,6 +241,9 @@ def test_matrices_of_the_wrong_shape_raise(row_lengths):
     for kind in ("standard", "cr", "f"):
         with pytest.raises(ValueError, match="5x5"):
             build_basis(kind).expand(bad)
+    # a model member, so only the matrix can be at fault
+    with pytest.raises(ValueError, match="5x5"):
+        model.tangency_defects(bad, (ONE, I, ZERO, ONE, -I))
 
 
 @pytest.mark.parametrize("row_lengths", [(6,) * 5, (5,) * 4], ids=["5x6", "4x5"])
@@ -315,16 +318,54 @@ def test_expand_round_trips_dense_combinations(kind, coeffs):
     assert basis.expand(x) == coeffs
 
 
+def _product_membership(a) -> bool:
+    # the defining identity as matrix products: A^T CalI + CalI A == 0
+    lhs = mat_add(linalg.mat_mul(linalg.transpose(a), CAL_I), linalg.mat_mul(CAL_I, a))
+    return all(x.is_zero() for row in lhs for x in row)
+
+
+def _standard_combination(coeffs):
+    x = linalg.zeros(5, 5)
+    for c, e in zip(coeffs, build_basis("standard").elements):
+        x = mat_add(x, mat_scale(c, e))
+    return x
+
+
+def _perturbed(args):
+    x, (i, j), delta = args
+    x[i][j] = x[i][j] + delta
+    return x
+
+
+gaussian = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
+    lambda p: AlgNum.from_complex_rat(*p))
+positions = st.tuples(st.integers(0, 4), st.integers(0, 4))
+combinations = dense_coefficients.map(_standard_combination)
+# (matrix, verdict): members, members with one entry moved (no single-entry
+# matrix is a member), and sparse matrices whose verdict only the oracle knows
+membership_cases = st.one_of(
+    combinations.map(lambda x: (x, True)),
+    st.tuples(combinations, positions, gaussian.filter(lambda c: not c.is_zero()))
+    .map(_perturbed).map(lambda x: (x, False)),
+    st.dictionaries(positions, gaussian, max_size=6).map(
+        lambda entries: ([[entries.get((i, j), ZERO) for j in range(5)]
+                          for i in range(5)], None)))
+
+
+@given(membership_cases)
+@settings(deadline=None)
+def test_membership_matches_the_product_definition(case):
+    x, verdict = case
+    assert membership_so32(x) == _product_membership(x)
+    assert verdict is None or membership_so32(x) is verdict
+
+
 small = st.integers(min_value=-3, max_value=3)
 vectors = st.tuples(*([small] * DIM))
 
 
 def _combo(coeffs):
-    basis = build_basis("standard")
-    out = linalg.zeros(5, 5)
-    for c, e in zip(coeffs, basis.elements):
-        out = mat_add(out, mat_scale(AlgNum.of(c), e))
-    return out
+    return _standard_combination(map(AlgNum.of, coeffs))
 
 
 @given(vectors, vectors, vectors)

@@ -89,23 +89,23 @@ def test_chart_intertwines_pairings():
     assert model.symmetric_pairing(list(u), list(v)) == cal
 
 
+def _model_chart_route(x, w):
+    # Xw carried back to the model chart by S and paired with w there:
+    # the flow derivatives 2 (Xw, w) and <Xw, w> + <w, Xw>
+    xw = model.from_exchange_chart(linalg.mat_vec(x, model.to_exchange_chart(w)))
+    s, h = model.symmetric_pairing(xw, w), model.hermitian_pairing(xw, w)
+    return s + s, h + h.conj()
+
+
 def test_tangency_defects_detect_non_algebra_flows():
     bad = linalg.zeros(5, 5)
     bad[0][0] = ONE     # not in the algebra
     dense = [[AlgNum.from_complex_rat(i - j, i * j - 2) for j in range(5)]
              for i in range(5)]
     for x in (bad, dense):
-        flagged = False
-        for p in MEMBERS:
-            d_sym, d_herm = model.tangency_defects(x, p)
-            if not (d_sym.is_zero() and d_herm.is_zero()):
-                flagged = True
-            # each defect is a pairing plus its mirror image
-            w = list(p)
-            xw = model.from_exchange_chart(linalg.mat_vec(x, model.to_exchange_chart(w)))
-            assert d_sym == model.symmetric_pairing(xw, w) + model.symmetric_pairing(w, xw)
-            assert d_herm == model.hermitian_pairing(xw, w) + model.hermitian_pairing(w, xw)
-        assert flagged
+        defects = [model.tangency_defects(x, p) for p in MEMBERS]
+        assert defects == [_model_chart_route(x, list(p)) for p in MEMBERS]
+        assert any(not (d_sym.is_zero() and d_herm.is_zero()) for d_sym, d_herm in defects)
 
 
 def _dense(rng):
@@ -116,10 +116,15 @@ def _dense(rng):
                    for _ in range(4)])
 
 
+# the listed members and two dense points off the hypersurface
+_ORACLE_POINTS = [list(p) for p in MEMBERS] + [
+    [_dense(random.Random(seed)) for _ in range(5)] for seed in (10, 11)]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_tangency_defects_equal_the_model_chart_pairings(seed):
-    # the defects are read in the exchange chart; the model-chart route,
-    # Xw carried back by S and paired with w, must give the same numbers
+    # the defects are the quadratic forms of the membership defects in the
+    # exchange chart; the model-chart route must give the same numbers
     # exactly, also for X outside the algebra and w off the hypersurface
     rng = random.Random(seed)
     x = [[_dense(rng) for _ in range(5)] for _ in range(5)]
@@ -127,9 +132,31 @@ def test_tangency_defects_equal_the_model_chart_pairings(seed):
     for _ in range(3):
         w = [_dense(rng) for _ in range(5)]
         assert not model.membership_model(w)["member"]
-        xw = model.from_exchange_chart(linalg.mat_vec(x, model.to_exchange_chart(w)))
-        s, h = model.symmetric_pairing(xw, w), model.hermitian_pairing(xw, w)
-        assert model.tangency_defects(x, w) == (s + s, h + h.conj())
+        assert model.tangency_defects(x, w) == _model_chart_route(x, w)
+
+
+def test_tangency_defects_of_the_cr_basis():
+    # cr elements are complex members: D(X) = 0, so the symmetric defect
+    # vanishes, but H(X) = 2i CalI Im X does not, so the hermitian defect
+    # of each non-real element is nonzero at some listed member
+    for x in liealg.build_basis("cr").elements:
+        defects = [model.tangency_defects(x, w) for w in _ORACLE_POINTS]
+        assert defects == [_model_chart_route(x, w) for w in _ORACLE_POINTS]
+        assert all(d_sym.is_zero() for d_sym, _ in defects)
+        real = all(c.is_real() for row in x for c in row)
+        assert real == all(d_herm.is_zero() for _, d_herm in defects[:len(MEMBERS)])
+
+
+@pytest.mark.parametrize("row", range(5))
+def test_tangency_defects_of_single_entry_matrices(row):
+    # a complex entry, so that H(X) differs from D(X), at every position
+    c = AlgNum.from_complex_rat(2, -3)
+    for col in range(5):
+        x = linalg.zeros(5, 5)
+        x[row][col] = c
+        defects = [model.tangency_defects(x, w) for w in _ORACLE_POINTS]
+        assert defects == [_model_chart_route(x, w) for w in _ORACLE_POINTS]
+        assert any(not d_sym.is_zero() for d_sym, _ in defects)
 
 
 def test_levi_matrix_at_345():
