@@ -330,7 +330,12 @@ def main(argv=None) -> int:
         print(f"cartancr: malformed fixture in {fixtures}: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        args.out.write_text(out)
+        try:
+            args.out.write_text(out)
+        except OSError as exc:
+            # a missing directory or a directory given as the file
+            print(f"cartancr: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(out)
     return 0 if passed else 1

@@ -18,18 +18,13 @@ Degrees by position are (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2) in every basis.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 
 from . import linalg
 from .numfield import AlgNum, ZERO, ONE, I, HALF
 
 DIM = 10
-
-# quadratic forms: diag(1,1,1,-1,-1) and the anti-diagonal exchange form
-I32 = [[AlgNum.of(1 if i == j and i < 3 else (-1 if i == j else 0))
-        for j in range(5)] for i in range(5)]
-CAL_I = [[AlgNum.of(1 if i + j == 4 else 0) for j in range(5)] for i in range(5)]
 
 
 def _mat(entries: dict) -> list[list[AlgNum]]:
@@ -148,10 +143,9 @@ class Basis:
         self.kind = kind
         self.names = tuple(names)
         self.elements = elements
-        self._expansion = None
-        self._sc = None
 
-    def _build_expansion(self):
+    @cached_property
+    def _expansion(self):
         """The 25x10 expansion system A (column k is element k), pivot rows
         P with A[P] invertible, and A[P]^-1, all from one rref of [A^T | 1]:
         the row operations that turn the pivot columns A[P]^T of A^T into
@@ -170,8 +164,6 @@ class Basis:
         ValueError off-span or for another shape).  The coefficients come
         from the 10 pivot entries through a cached inverse, then must
         reproduce all 25."""
-        if self._expansion is None:
-            self._expansion = self._build_expansion()
         rows, pivots, inverse = self._expansion
         target = _entries(matrix)
         x = linalg.mat_vec(inverse, [target[p] for p in pivots])
@@ -183,17 +175,19 @@ class Basis:
         """The nonzero structure constants by ordered pair:
         (b, c) -> ((a, c^a_{bc}), ...) for every a with c^a_{bc} != 0, and
         no key for a pair whose bracket is zero (b == c included)."""
-        if self._sc is None:
-            sc = {}
-            for b in range(DIM):
-                for c in range(b + 1, DIM):
-                    col = self.expand(commutator(self.elements[b], self.elements[c]))
-                    terms = tuple((a, x) for a, x in enumerate(col) if not x.is_zero())
-                    if terms:
-                        sc[(b, c)] = terms
-                        sc[(c, b)] = tuple((a, -x) for a, x in terms)
-            self._sc = sc
         return self._sc
+
+    @cached_property
+    def _sc(self):
+        sc = {}
+        for b in range(DIM):
+            for c in range(b + 1, DIM):
+                col = self.expand(commutator(self.elements[b], self.elements[c]))
+                terms = tuple((a, x) for a, x in enumerate(col) if not x.is_zero())
+                if terms:
+                    sc[(b, c)] = terms
+                    sc[(c, b)] = tuple((a, -x) for a, x in terms)
+        return sc
 
     def c(self, a: int, b: int, c: int) -> AlgNum:
         """Structure constant c^a_{bc}, antisymmetric in (b, c)."""
@@ -203,22 +197,17 @@ class Basis:
         return ZERO
 
 
-_BASES: dict[str, Basis] = {}
-
-
+@cache
 def build_basis(kind: str) -> Basis:
-    kind = kind.lower()
-    if kind not in _BASES:
-        if kind == "standard":
-            _BASES[kind] = Basis(kind, STANDARD_NAMES, list(_STANDARD))
-        elif kind == "cr":
-            _BASES[kind] = Basis(kind, CR_NAMES, _build_cr())
-        elif kind == "f":
-            _BASES[kind] = Basis(kind, F_NAMES, [mat_scale(s, e)
-                                                 for s, e in zip(_F_SCALES, _STANDARD)])
-        else:
-            raise ValueError(f"unknown basis kind {kind!r}")
-    return _BASES[kind]
+    """The basis of one kind, "standard", "cr" or "f", built once; any
+    other kind raises ValueError."""
+    if kind == "standard":
+        return Basis(kind, STANDARD_NAMES, list(_STANDARD))
+    if kind == "cr":
+        return Basis(kind, CR_NAMES, _build_cr())
+    if kind == "f":
+        return Basis(kind, F_NAMES, [mat_scale(s, e) for s, e in zip(_F_SCALES, _STANDARD)])
+    raise ValueError(f"unknown basis kind {kind!r}")
 
 
 def grading_decomposition() -> dict:
@@ -237,9 +226,7 @@ def grading_decomposition() -> dict:
         "degrees": DEGREES,
         "z_index": Z_INDEX,
         "m_minus": (0, 1, 2),
-        "m": (0, 1, 2, 3, 4),
         "h0": (5, 6),
-        "h": (5, 6, 7, 8, 9),
         "dims": dict(Counter(DEGREES)),
     }
 
@@ -274,15 +261,3 @@ def killing_matrix(basis: Basis):
             out[a][b] = out[b][a] = sum((x * ads[b][(j, i)] for (i, j), x in ads[a].items()
                                          if (j, i) in ads[b]), ZERO)
     return out
-
-
-# hyperbolic-pair matrix relating diag(1,1,1,-1,-1) coordinates to the
-# anti-diagonal form: S^T I32 S = CalI exactly
-_H = AlgNum.sqrt2(Fraction(1, 2))    # 1/sqrt2
-CONGRUENCE_S = [
-    [_H, ZERO, ZERO, ZERO, _H],
-    [ZERO, _H, ZERO, _H, ZERO],
-    [ZERO, ZERO, ONE, ZERO, ZERO],
-    [_H, ZERO, ZERO, ZERO, -_H],
-    [ZERO, _H, ZERO, -_H, ZERO],
-]

@@ -61,18 +61,26 @@ def membership_model(coords) -> dict:
     }
 
 
-# S^-1 = CalI S^T I32, since S^T I32 S = CalI and CalI^2 = 1
-_S_INVERSE = linalg.mat_mul(
-    liealg.CAL_I, linalg.mat_mul(linalg.transpose(liealg.CONGRUENCE_S), liealg.I32))
+# The exchange chart w = S v carries the model pairing to the anti-diagonal
+# form CalI of the algebra: S^T I32 S = CalI, with h = 1/sqrt2 and
+#   S = [[h, 0, 0, 0, h], [0, h, 0, h, 0], [0, 0, 1, 0, 0],
+#        [h, 0, 0, 0, -h], [0, h, 0, -h, 0]].
+# Both directions are written out, as the pairings apply I32 by subtraction.
+_H = AlgNum.sqrt2() * HALF
 
 
 def to_exchange_chart(coords) -> list[AlgNum]:
-    """Model coordinates -> coordinates of the anti-diagonal form."""
-    return linalg.mat_vec(_S_INVERSE, _point(coords))
+    """Model coordinates -> coordinates of the anti-diagonal form: v = S^-1 w."""
+    w = _point(coords)
+    return [_H * (w[0] + w[3]), _H * (w[1] + w[4]), w[2],
+            _H * (w[1] - w[4]), _H * (w[0] - w[3])]
 
 
 def from_exchange_chart(coords) -> list[AlgNum]:
-    return linalg.mat_vec(liealg.CONGRUENCE_S, _point(coords))
+    """Coordinates of the anti-diagonal form -> model coordinates: w = S v."""
+    v = _point(coords)
+    return [_H * (v[0] + v[4]), _H * (v[1] + v[3]), v[2],
+            _H * (v[0] - v[4]), _H * (v[1] - v[3])]
 
 
 def tangency_defects(x_matrix, coords) -> tuple[AlgNum, AlgNum]:

@@ -179,6 +179,20 @@ def test_out_writes_file(tmp_path):
     assert payload["passed"]
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["--emit", "bases", "--format", "json"], "missing/dir/x.json"),
+    (["--suite", "torsion"], "."),
+], ids=["missing-directory", "a-directory"])
+def test_main_reports_an_unwritable_out_cleanly(tmp_path, capsys, argv, target):
+    # exit 1 is kept for "a check failed"
+    out = tmp_path / target
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cartancr: cannot write {out}")
+    assert captured.err.count("\n") == 1
+
+
 def test_fixtures_override(tmp_path):
     # a bad fixture directory must surface as an error, not a silent pass
     with pytest.raises(FileNotFoundError):

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartancr import linalg, model
-from cartancr.liealg import (CAL_I, CONGRUENCE_S, CR_CONJ, DEGREES, DIM, I32,
-                             Z_INDEX, Basis, build_basis, commutator,
-                             grading_decomposition, killing_form,
+from cartancr.liealg import (CR_CONJ, DEGREES, DIM, Z_INDEX, Basis, build_basis,
+                             commutator, grading_decomposition, killing_form,
                              killing_matrix, mat_add, mat_conj, mat_scale,
                              mat_sub, membership_so32)
 from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF
@@ -16,6 +15,10 @@ from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF
 R3 = AlgNum.sqrt3(Fraction(1, 3))    # 1/sqrt3
 R3H = AlgNum.sqrt3(Fraction(1, 6))   # 1/(2 sqrt3)
 R6 = AlgNum.sqrt6(Fraction(1, 6))    # 1/sqrt6
+
+# the model's form diag(1, 1, 1, -1, -1) and the algebra's anti-diagonal form
+I32 = [[AlgNum.of((1 if i < 3 else -1) if i == j else 0) for j in range(5)] for i in range(5)]
+CAL_I = [[AlgNum.of(1 if i + j == 4 else 0) for j in range(5)] for i in range(5)]
 
 # complete bracket table of the f basis, keys 1-based, [f_b, f_c] = sum a-th
 F_TABLE = {
@@ -218,8 +221,16 @@ def test_change_of_basis_witnesses():
 
 
 def test_congruence_relates_the_two_forms():
-    st_ = linalg.transpose(CONGRUENCE_S)
-    assert linalg.mat_mul(st_, linalg.mat_mul(I32, CONGRUENCE_S)) == CAL_I
+    # S read off the chart, column j = S e_j
+    unit = [[ONE if i == j else ZERO for i in range(5)] for j in range(5)]
+    s = linalg.transpose([model.from_exchange_chart(e) for e in unit])
+    assert linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(I32, s)) == CAL_I
+
+
+@pytest.mark.parametrize("kind", [5, None, "F", "CR", "e"])
+def test_unknown_basis_kinds_raise(kind):
+    with pytest.raises(ValueError, match="unknown basis kind"):
+        build_basis(kind)
 
 
 def test_expand_rejects_off_span():

@@ -79,14 +79,17 @@ def test_chart_roundtrip():
         assert back == list(p)
 
 
+def _exchange_form(p, q):
+    # the anti-diagonal form CalI: sum of p_i q_(4-i)
+    return sum((p[i] * q[4 - i] for i in range(5)), ZERO)
+
+
 def test_chart_intertwines_pairings():
     # S^T I32 S = CalI, so the model pairing pulls back to the exchange form
     u = (ONE, I, AlgNum.of(2), ZERO, -I)
     v = (ZERO, ONE, -I, AlgNum.sqrt2(), ONE)
     pu, pv = model.to_exchange_chart(u), model.to_exchange_chart(v)
-    cal = sum((pu[i] * liealg.CAL_I[i][j] * pv[j]
-               for i in range(5) for j in range(5)), ZERO)
-    assert model.symmetric_pairing(list(u), list(v)) == cal
+    assert model.symmetric_pairing(list(u), list(v)) == _exchange_form(pu, pv)
 
 
 def _model_chart_route(x, w):
@@ -199,3 +202,17 @@ def test_pairing_symmetries(u, v):
     u, v = list(u), list(v)
     assert model.symmetric_pairing(u, v) == model.symmetric_pairing(v, u)
     assert model.hermitian_pairing(u, v) == model.hermitian_pairing(v, u).conj()
+
+
+rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+q_i = st.tuples(rational, rational).map(lambda p: AlgNum.from_complex_rat(*p))
+q_i_points = st.lists(q_i, min_size=5, max_size=5)
+
+
+@given(q_i_points, q_i_points)
+def test_chart_round_trips_and_carries_the_pairings(u, v):
+    pu, pv = model.to_exchange_chart(u), model.to_exchange_chart(v)
+    assert model.from_exchange_chart(pu) == u
+    assert model.to_exchange_chart(model.from_exchange_chart(u)) == u
+    assert model.symmetric_pairing(u, v) == _exchange_form(pu, pv)
+    assert model.hermitian_pairing(u, v) == _exchange_form([c.conj() for c in pu], pv)
