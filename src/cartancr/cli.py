@@ -26,13 +26,8 @@ TORSION_WITNESSES = {"c1_of_B3": -ONE, "c1_of_B4": -I,
                      "c2_of_B1": -HALF * I, "c3_of_B2": -HALF}
 
 
-def _default_fixtures() -> Path:
-    here = Path(__file__).resolve()
-    for base in (here.parents[2], Path.cwd()):
-        cand = base / "fixtures"
-        if cand.is_dir():
-            return cand
-    return Path("fixtures")
+# the fixtures ship inside the package; --fixtures overrides them
+_FIXTURES = Path(__file__).with_name("fixtures")
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +296,30 @@ def main(argv=None) -> int:
     action.add_argument("--suite", choices=SUITES,
                         help="run a verification suite (default: all)")
     action.add_argument("--emit", choices=EMITS, help="emit an artifact instead")
-    parser.add_argument("--format", choices=("latex", "json"), default="latex",
-                        help="artifact format for --emit")
+    parser.add_argument("--format", choices=("latex", "json"),
+                        help="artifact format for --emit (default: latex)")
     parser.add_argument("--out", type=Path, help="write output to a file")
     parser.add_argument("--json", action="store_true",
                         help="machine readable report")
     parser.add_argument("--fixtures", type=Path, default=None,
-                        help="fixture directory override")
+                        help="fixture directory (default: the packaged fixtures)")
     args = parser.parse_args(argv)
+    # a format flag the chosen action would ignore is a usage error
+    if args.json if args.emit else args.format:
+        parser.error("--json goes with a suite, --format with --emit")
 
-    fixtures = args.fixtures or _default_fixtures()
+    fixtures = args.fixtures or _FIXTURES
 
     try:
         if args.emit:
-            out, passed = emit_artifacts(args.emit, args.format, fixtures), True
+            out, passed = emit_artifacts(args.emit, args.format or "latex", fixtures), True
         else:
             report = run_suite(args.suite or "all", fixtures)
             out, passed = _report_text(report, args.json), report["passed"]
-    except FileNotFoundError as exc:
-        # installed CLI run outside the repository: fixtures must be pointed at
-        print(f"cartancr: fixture file not found: {exc.filename}\n"
-              "pass --fixtures <dir> with the repository fixtures directory",
+    except OSError as exc:
+        # a missing fixture, a file given as the --fixtures directory or a
+        # directory where a fixture file should be
+        print(f"cartancr: cannot read fixture {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return 2
     except ValueError as exc:

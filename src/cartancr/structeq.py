@@ -310,13 +310,16 @@ class ConstraintTable:
         return [s for s, e in self.entries.items() if e["primal"] is None]
 
     def without(self, primal_slot) -> "ConstraintTable":
-        """Copy minus one primal constraint and everything derived from it:
-        its conjugate mate, if the mate was added with it.
+        """Copy minus one primal constraint and its conjugate mate, if the
+        mate was derived from it; any other slot raises ValueError.
 
         The copy shares the entry dicts, which the tables only ever replace."""
+        e = self.entries.get(primal_slot)
+        if e is None or e["primal"] is not None:
+            raise ValueError(f"slot {primal_slot} is not a primal constraint")
         out = ConstraintTable()
         out.entries = dict(self.entries)
-        out.entries.pop(primal_slot, None)
+        del out.entries[primal_slot]
         mate = _conj_slot(symbol_key(*primal_slot))[1]
         if mate in out.entries and out.entries[mate]["primal"] == primal_slot:
             del out.entries[mate]

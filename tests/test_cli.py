@@ -4,6 +4,10 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -204,7 +208,53 @@ def test_main_reports_missing_fixtures_cleanly(tmp_path, capsys):
                      "--fixtures", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "fixture file not found" in err and "--fixtures" in err
+    assert err.startswith(f"cartancr: cannot read fixture {tmp_path / 'constraints.json'}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["file-as-directory", "directory-as-file"])
+def test_main_reports_unreadable_fixtures_cleanly(tmp_path, capsys, case):
+    # exit 1 is kept for "a check failed"
+    if case == "file-as-directory":
+        fixtures = tmp_path / "README.md"
+        fixtures.write_text("not a directory\n")
+    else:
+        fixtures = tmp_path
+        (tmp_path / "constraints.json").mkdir()
+    assert cli.main(["--suite", "structure-equations", "--fixtures", str(fixtures)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cartancr: cannot read fixture {fixtures}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--emit", "killing-matrix", "--json"],
+    ["--suite", "torsion", "--format", "json"],
+    ["--format", "latex"],
+], ids=["json-with-emit", "format-with-suite", "format-with-default-suite"])
+def test_flags_the_action_ignores_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--json goes with a suite, --format with --emit" in captured.err
+
+
+def test_the_package_carries_its_fixtures(tmp_path):
+    # a copy of the package alone, run away from the checkout and without
+    # --fixtures, reads the fixtures it ships
+    package = ROOT / "src" / "cartancr"
+    assert FIXTURES.resolve() == (package / "fixtures").resolve()
+    lib = tmp_path / "lib"
+    shutil.copytree(package, lib / "cartancr",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run([sys.executable, "-m", "cartancr.cli", "--suite", "all", "--json"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(lib)})
+    assert proc.returncode == 0, proc.stderr
+    assert golden.suite_ok(json.loads(proc.stdout))
 
 
 @pytest.mark.parametrize("text", [

@@ -174,6 +174,18 @@ def test_without_drops_derived_copies():
     assert reduced.state((2, (0, 4))) is None
 
 
+def test_without_refuses_a_slot_that_is_not_primal():
+    # dropping a derived slot alone would keep its primal mate and leave the
+    # copy not closed under conjugation; dropping a free slot would be a no-op
+    table = _load_table()
+    derived, free = (2, (1, 2)), (0, (0, 5))
+    assert table.state(derived) == "zero" and derived not in table.primal_slots()
+    assert table.state(free) is None
+    for slot in (derived, free):
+        with pytest.raises(ValueError, match="not a primal constraint"):
+            table.without(slot)
+
+
 def test_without_copy_and_original_stay_independent():
     # the copy shares entries with the original, so adding to either one
     # (a new provenance tag, a derived entry promoted to primal) must leave
