@@ -135,10 +135,20 @@ def _suite_torsion():
            "tracked boundary components take their closed-form values")
 
 
+def _fixture(fixtures: Path, name: str, parse):
+    """parse(text) of the fixture file `name`; a fixture that does not
+    decode or parse raises ValueError naming the file."""
+    path = fixtures / name
+    try:
+        return parse(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _suite_structure_equations(fixtures: Path):
-    table = structeq.load_constraints((fixtures / "constraints.json").read_text())
-    want = structeq.equations_from_json(
-        (fixtures / "structure_equations.json").read_text(), derive_conjugates=True)
+    table = _fixture(fixtures, "constraints.json", structeq.load_constraints)
+    want = _fixture(fixtures, "structure_equations.json",
+                    lambda text: structeq.equations_from_json(text, derive_conjugates=True))
     got = structeq.generate_structure_equations(table)
     diff = structeq.equations_diff(got, want)
     yield ("structeq.fixture-match", not diff,
@@ -249,15 +259,14 @@ def _matrix_json(m):
 
 
 def emit_artifacts(kind: str, fmt: str, fixtures: Path) -> str:
-    if kind == "structure-equations":
-        table = structeq.load_constraints((fixtures / "constraints.json").read_text())
+    if kind in ("structure-equations", "constraints"):
+        table = _fixture(fixtures, "constraints.json", structeq.load_constraints)
+        if kind == "constraints":
+            return (structeq.constraints_to_latex(table) if fmt == "latex"
+                    else structeq.constraints_to_json(table))
         eqs = structeq.generate_structure_equations(table)
         return (structeq.equations_to_latex(eqs) if fmt == "latex"
                 else structeq.equations_to_json(eqs))
-    if kind == "constraints":
-        table = structeq.load_constraints((fixtures / "constraints.json").read_text())
-        return (structeq.constraints_to_latex(table) if fmt == "latex"
-                else structeq.constraints_to_json(table))
     if kind == "bases":
         if fmt == "json":
             data = {kind_: [_matrix_json(e) for e in liealg.build_basis(kind_).elements]
@@ -323,9 +332,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except ValueError as exc:
-        # a fixture that is not JSON or names a slot outside the algebra;
-        # exit 1 is kept for "a check failed"
-        print(f"cartancr: malformed fixture in {fixtures}: {exc}", file=sys.stderr)
+        # a fixture that is not JSON or names a slot outside the algebra,
+        # named by _fixture; exit 1 is kept for "a check failed"
+        print(f"cartancr: malformed fixture {exc}", file=sys.stderr)
         return 2
     if args.out:
         try:

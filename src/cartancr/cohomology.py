@@ -112,8 +112,9 @@ def codifferential_kernel(shift: int) -> dict:
     the kernel vectors both as raw column vectors and as {(a, pair): value}
     dicts, and the kernel dimension.
     """
-    if shift not in PATTERN_VARS:
-        raise ValueError(f"no torsion candidates at shifting degree {shift}")
+    # a bool or a float equal to a shift would pass the dict lookup
+    if type(shift) is not int or shift not in PATTERN_VARS:
+        raise ValueError(f"no torsion candidates at shifting degree {shift!r}")
     labels, all_rows = _pairing_rows()
     labels, rows = list(labels), [row[:] for row in all_rows[shift]]
     null = linalg.nullspace(rows)

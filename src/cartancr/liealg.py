@@ -92,39 +92,28 @@ def commutator(a, b):
 
 def _entries(m) -> list[AlgNum]:
     """The 25 entries of a 5x5 matrix, row by row; any other shape raises
-    ValueError."""
+    ValueError, and an entry that is not an AlgNum TypeError."""
     if len(m) != 5 or any(len(row) != 5 for row in m):
         raise ValueError(f"expected a 5x5 matrix, got rows of lengths {[len(r) for r in m]}")
-    return [x for row in m for x in row]
+    entries = [x for row in m for x in row]
+    for x in entries:
+        if not isinstance(x, AlgNum):
+            raise TypeError(f"matrix entries must be AlgNum, not {type(x).__name__}")
+    return entries
 
 
-def _form_defects(matrix) -> tuple[dict, dict]:
-    """The membership defects D(A) = CAL_I A + A^T CAL_I and
-    H(A) = CAL_I A + A^H CAL_I as their nonzero entries (i, j) -> value
-    with i <= j, read off the 25 entries of A: CAL_I reverses the rows, so
-    D_ij = A_(4-i)j + A_(4-j)i and H_ij = A_(4-i)j + conj A_(4-j)i.
-    D is symmetric and H hermitian, so the upper triangle holds both.
-    ValueError unless A is 5x5."""
-    a = _entries(matrix)
-    sym, herm = {}, {}
-    for i in range(5):
-        for j in range(i, 5):
-            x, y = a[20 - 5 * i + j], a[20 - 5 * j + i]
-            if x.is_zero() and y.is_zero():
-                continue
-            d = x + y
-            if not d.is_zero():
-                sym[i, j] = d
-            h = d if y.is_real() else x + y.conj()
-            if not h.is_zero():
-                herm[i, j] = h
-    return sym, herm
+# flat indices of A_(4-i)j and A_(4-j)i for i <= j
+_DEFECT_PAIRS = tuple((20 - 5 * i + j, 20 - 5 * j + i) for i in range(5) for j in range(i, 5))
 
 
 def membership_so32(matrix) -> bool:
-    """A^T * CAL_I + CAL_I * A == 0, exactly: D(A) has no nonzero entry.
-    ValueError unless A is 5x5."""
-    return not _form_defects(matrix)[0]
+    """A^T CAL_I + CAL_I A == 0, exactly: CAL_I reverses the rows, so the
+    defect D has the entries D_ij = A_(4-i)j + A_(4-j)i, all zero for i <= j.
+    ValueError unless A is 5x5, TypeError for an entry that is not an AlgNum."""
+    a = _entries(matrix)
+    # most entries of an algebra element are zero: a zero pair costs no addition
+    return all(a[p].is_zero() and a[q].is_zero() or (a[p] + a[q]).is_zero()
+               for p, q in _DEFECT_PAIRS)
 
 
 def _build_cr():

@@ -84,33 +84,24 @@ def from_exchange_chart(coords) -> list[AlgNum]:
 
 
 def tangency_defects(x_matrix, coords) -> tuple[AlgNum, AlgNum]:
-    """Flow derivatives of the two defining pairings at a model point;
-    both vanish identically for algebra elements.  The derivative of
-    (w, w) is (Xw, w) + (w, Xw) = 2 (Xw, w), and that of <w, w> is
-    <Xw, w> + <w, Xw> = h + conj(h) with h = <Xw, w>.
+    """Flow derivatives of the two defining pairings at a model point,
+    2 (Xw, w) and <Xw, w> + <w, Xw>; both vanish for real elements of so(3,2).
 
-    Both are read in the exchange chart: w = S v with S real and
-    S^T I32 S = CalI, so they are the quadratic forms v^T D v and v^H H v
-    of the membership defects D = CalI X + X^T CalI and
-    H = CalI X + X^H CalI.  The point is mapped only when one of them has
-    a nonzero entry; for real algebra elements neither has.  ValueError
-    unless X is 5x5."""
+    They are read in the exchange chart w = S v, S real, S^T I32 S = CalI:
+    with u = Xv, s = sum u_k v_(4-k) and h = sum conj(u_k) v_(4-k) they are
+    2 s and h + conj(h), the quadratic forms v^T D v and v^H H v of
+    D = CalI X + X^T CalI and H = CalI X + X^H CalI.  As D - H = 2i (Im X)^T CalI,
+    D = H = 0 exactly when X is a real member, which returns (0, 0) without
+    mapping the point.  ValueError unless X is 5x5, TypeError for an entry
+    that is not an AlgNum."""
     w = _point(coords)
-    sym, herm = liealg._form_defects(x_matrix)
-    if not (sym or herm):
+    if liealg.membership_so32(x_matrix) and all(c.is_real() for row in x_matrix for c in row):
         return ZERO, ZERO
     v = to_exchange_chart(w)
-    vc = [c.conj() for c in v]
-    # an off-diagonal entry stands for itself and its mirror image
-    s = ZERO
-    for (i, j), d in sym.items():
-        t = d * v[i] * v[j]
-        s = s + (t if i == j else t + t)
-    h = ZERO
-    for (i, j), e in herm.items():
-        t = vc[i] * e * v[j]
-        h = h + (t if i == j else t + t.conj())
-    return s, h
+    u = linalg.mat_vec(x_matrix, v)
+    s = sum((u[k] * v[4 - k] for k in range(5)), ZERO)
+    h = sum((u[k].conj() * v[4 - k] for k in range(5)), ZERO)
+    return s + s, h + h.conj()
 
 
 def levi_form_tube(x) -> dict:

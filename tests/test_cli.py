@@ -274,6 +274,21 @@ def test_main_reports_malformed_fixture_cleanly(tmp_path, capsys, argv, text):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["constraints.json", "structure_equations.json"])
+def test_a_malformed_fixture_is_named_by_its_file(tmp_path, capsys, name):
+    # the suite reads both files, so naming the directory alone does not
+    # say which of them is at fault
+    for fixture in ("constraints.json", "structure_equations.json"):
+        shutil.copy(FIXTURES / fixture, tmp_path / fixture)
+    text = (FIXTURES / name).read_text()
+    (tmp_path / name).write_text(text[:len(text) // 2])
+    assert cli.main(["--suite", "structure-equations", "--fixtures", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cartancr: malformed fixture {tmp_path / name}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_emit_rejects_unknown_kind():
     with pytest.raises(ValueError):
         cli.emit_artifacts("spectra", "json", FIXTURES)

@@ -149,6 +149,13 @@ def test_codifferential_rejects_unknown_shift():
         codifferential_kernel(4)
 
 
+@pytest.mark.parametrize("shift", [True, 1.0, 2.0], ids=["bool", "float-1", "float-2"])
+def test_codifferential_rejects_a_shift_that_is_not_an_int(shift):
+    # True == 1.0 == 1, so a dict lookup alone accepted them
+    with pytest.raises(ValueError, match="shifting degree"):
+        codifferential_kernel(shift)
+
+
 def test_degree2_kernel_vector():
     data = codifferential_kernel(2)
     assert data["kernel"] == [DEGREE2_KERNEL]

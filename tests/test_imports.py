@@ -1,7 +1,8 @@
 """Every name that a module, test or demo imports is used in that file,
 every private definition in the package is used somewhere in it, every
-public one somewhere in the project, and the test extra installs every
-package the tests import."""
+public one somewhere in the project, no module of the package reads
+another module's private name, and the test extra installs every package
+the tests import."""
 
 import ast
 import re
@@ -61,6 +62,10 @@ def _names_read(tree: ast.AST) -> set[str]:
     return read
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def _dead_private_definitions(sources: list[str]) -> list[str]:
     """Private (_name) functions, methods, classes and module constants
     defined in the sources that no source reads."""
@@ -69,8 +74,7 @@ def _dead_private_definitions(sources: list[str]) -> list[str]:
     defined.update(node.name for tree in trees for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
     read = set().union(*map(_names_read, trees))
-    return sorted(n for n in defined - read
-                  if n.startswith("_") and not n.endswith("__"))
+    return sorted(n for n in defined - read if _private(n))
 
 
 def _dead_public_definitions(defining: list[str], reading: list[str]) -> list[str]:
@@ -120,6 +124,43 @@ def test_no_dead_public_definitions():
     assert len(package) > 5 and len(readers) > 20
     assert _dead_public_definitions([p.read_text() for p in package],
                                     [p.read_text() for p in readers]) == []
+
+
+def _foreign_private_reads(source: str) -> list[str]:
+    """Private names of another package module that a package source
+    reads: module._name after `from . import module`, and
+    `from .module import _name`."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                modules.update(a.asname or a.name for a in node.names)
+            else:
+                found += [f"{node.module}.{a.name}" for a in node.names if _private(a.name)]
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _private(node.attr)]
+    return sorted(found)
+
+
+def test_foreign_private_read_guard_sees_leftovers():
+    src = ("import os\n"
+           "from . import liealg, model as m\n"
+           "from .numfield import ZERO, _coerce\n"
+           "def f(x):\n"
+           "    from . import cohomology\n"
+           "    return (liealg._entries(x), m._H, cohomology._pairing_rows(),\n"
+           "            liealg.DIM, liealg.__name__, os._exit, x._n, _coerce, ZERO)\n")
+    assert _foreign_private_reads(src) == ["cohomology._pairing_rows", "liealg._entries",
+                                           "m._H", "numfield._coerce"]
+
+
+def test_no_module_reads_another_modules_private_name():
+    files = sorted((ROOT / "src/cartancr").glob("*.py"))
+    assert len(files) > 5
+    reads = {p.name: _foreign_private_reads(p.read_text()) for p in files}
+    assert {name: r for name, r in reads.items() if r} == {}
 
 
 def test_test_extra_lists_every_third_party_test_import():

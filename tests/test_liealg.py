@@ -257,6 +257,29 @@ def test_matrices_of_the_wrong_shape_raise(row_lengths):
         model.tangency_defects(bad, (ONE, I, ZERO, ONE, -I))
 
 
+@pytest.mark.parametrize("entry", [0, 1, 0.5, Fraction(1, 2)],
+                         ids=["int-0", "int-1", "float", "Fraction"])
+@pytest.mark.parametrize("where", ["everywhere", "one-entry"])
+def test_matrices_of_other_entries_raise_type_error(entry, where):
+    # an int entry raised AttributeError from is_zero
+    member = build_basis("standard").elements[3]
+    if where == "everywhere":
+        bad = [[entry] * 5 for _ in range(5)]
+    else:
+        bad = [row[:] for row in member]
+        bad[2][4] = entry
+    with pytest.raises(TypeError, match="AlgNum"):
+        membership_so32(bad)
+    for kind in ("standard", "cr", "f"):
+        with pytest.raises(TypeError, match="AlgNum"):
+            build_basis(kind).expand(bad)
+    for x, y in ((bad, member), (member, bad)):
+        with pytest.raises(TypeError, match="AlgNum"):
+            killing_form(x, y)
+    with pytest.raises(TypeError, match="AlgNum"):
+        model.tangency_defects(bad, (ONE, I, ZERO, ONE, -I))
+
+
 @pytest.mark.parametrize("row_lengths", [(6,) * 5, (5,) * 4], ids=["5x6", "4x5"])
 def test_elementwise_operations_refuse_other_shapes(row_lengths):
     # zip would cut the operand to the 5x5 corner it shares with the other
