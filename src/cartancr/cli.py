@@ -12,14 +12,15 @@ import json
 import sys
 from pathlib import Path
 
-from . import liealg, linalg, structeq
-from .numfield import AlgNum, ZERO, ONE, I, HALF
+from . import liealg, linalg
+from .numfield import AlgNum, ZERO, ONE, I, HALF, algnum_latex
 
 SCHEMA = 1
 
 SUITES = ("algebra", "killing", "kernels", "torsion",
           "structure-equations", "iz-comparison", "model", "all")
 EMITS = ("structure-equations", "constraints", "bases", "killing-matrix")
+_FORMATS = ("latex", "json")
 
 # closed-form values of the tracked boundary components
 TORSION_WITNESSES = {"c1_of_B3": -ONE, "c1_of_B4": -I,
@@ -31,8 +32,9 @@ _FIXTURES = Path(__file__).with_name("fixtures")
 
 
 # ---------------------------------------------------------------------------
-# suites: each yields (check id, passed, detail); cohomology and model are
-# imported by the suites that use them, so an --emit process loads neither
+# suites: each yields (check id, passed, detail); cohomology, structeq and
+# model are imported where they are used, so an --emit process loads neither
+# cohomology nor model, and a bases or killing-matrix emit no structeq
 
 def _suite_algebra():
     for kind in ("standard", "cr", "f"):
@@ -71,16 +73,12 @@ def _suite_algebra():
 
 
 def _suite_killing():
-    from . import cohomology
     f = liealg.build_basis("f")
     km = liealg.killing_matrix(f)
-    signed = {(0, 9): 1, (1, 7): 1, (2, 8): 1, (3, 3): 1, (4, 4): 1,
-              (5, 5): 1, (6, 6): -1}
     ok = True
     for i in range(10):
         for j in range(10):
-            want = signed.get((i, j), signed.get((j, i), 0))
-            if km[i][j] != AlgNum.of(want):
+            if km[i][j] != AlgNum.of(liealg.EPS[i] if j == liealg.SIGMA[i] else 0):
                 ok = False
     yield ("killing.matrix", ok, "all 100 entries match the signed permutation form")
     ok = True
@@ -91,12 +89,11 @@ def _suite_killing():
             if km[i][j] != AlgNum.of(3) * tr:
                 ok = False
     yield ("killing.trace-identity", ok, "K(x, y) = 3 tr(xy) on all basis pairs")
-    sigma, eps = cohomology.SIGMA, cohomology.EPS
     ok = True
     for a in range(10):
         for b in range(10):
             want = AlgNum.of(1 if a == b else 0)
-            if AlgNum.of(eps[a]) * km[sigma[a]][b] != want:
+            if AlgNum.of(liealg.EPS[a]) * km[liealg.SIGMA[a]][b] != want:
                 ok = False
     yield ("killing.hat-pairing", ok, "eps_a K(hat f_a, f_b) = delta_ab")
 
@@ -146,6 +143,7 @@ def _fixture(fixtures: Path, name: str, parse):
 
 
 def _suite_structure_equations(fixtures: Path):
+    from . import structeq
     table = _fixture(fixtures, "constraints.json", structeq.load_constraints)
     want = _fixture(fixtures, "structure_equations.json",
                     lambda text: structeq.equations_from_json(text, derive_conjugates=True))
@@ -177,6 +175,7 @@ def _suite_structure_equations(fixtures: Path):
 
 
 def _suite_iz_comparison():
+    from . import structeq
     res = structeq.verify_iz_change_of_frame(include_torsion=True)
     yield ("iz.residual-11", res["residual_11"].is_zero(),
            "first identity residual vanishes")
@@ -219,6 +218,9 @@ def _suite_model():
 
 
 def run_suite(name: str, fixtures: Path) -> dict:
+    """The report of one suite of SUITES, else ValueError."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
     gens = {
         "algebra": _suite_algebra,
         "killing": _suite_killing,
@@ -250,7 +252,7 @@ def run_suite(name: str, fixtures: Path) -> dict:
 # emission
 
 def _matrix_latex(m) -> str:
-    rows = [" & ".join(structeq.algnum_latex(x) for x in row) for row in m]
+    rows = [" & ".join(algnum_latex(x) for x in row) for row in m]
     return "\\begin{pmatrix}\n" + " \\\\\n".join(rows) + "\n\\end{pmatrix}\n"
 
 
@@ -259,7 +261,11 @@ def _matrix_json(m):
 
 
 def emit_artifacts(kind: str, fmt: str, fixtures: Path) -> str:
+    """The artifact `kind` of EMITS in a format of _FORMATS, else ValueError."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
     if kind in ("structure-equations", "constraints"):
+        from . import structeq
         table = _fixture(fixtures, "constraints.json", structeq.load_constraints)
         if kind == "constraints":
             return (structeq.constraints_to_latex(table) if fmt == "latex"
@@ -305,7 +311,7 @@ def main(argv=None) -> int:
     action.add_argument("--suite", choices=SUITES,
                         help="run a verification suite (default: all)")
     action.add_argument("--emit", choices=EMITS, help="emit an artifact instead")
-    parser.add_argument("--format", choices=("latex", "json"),
+    parser.add_argument("--format", choices=_FORMATS,
                         help="artifact format for --emit (default: latex)")
     parser.add_argument("--out", type=Path, help="write output to a file")
     parser.add_argument("--json", action="store_true",

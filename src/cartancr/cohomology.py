@@ -8,8 +8,8 @@ the algebra, where the pairing is evaluated through hat duality:
 
     coeff of tau^a_{bc}  =  eps_a * (del A(hat f_b, hat f_c))^{sigma(a)}
 
-with sigma the Killing-induced index involution and eps its sign vector.
-All of it is exact.
+with sigma the Killing-induced index involution and eps its sign vector:
+liealg.SIGMA and liealg.EPS, re-exported here.  All of it is exact.
 """
 
 from __future__ import annotations
@@ -18,13 +18,8 @@ import functools
 from fractions import Fraction
 
 from . import liealg, linalg
+from .liealg import EPS, SIGMA
 from .numfield import AlgNum, ZERO, ONE, I, HALF, SQRT2
-
-# hat duality: f-hat_b = f_{sigma(b)}, f^a = eps_a <f-hat_a, .>  (0-based);
-# literal, since deriving them from killing_matrix would build the f
-# structure constants at import; killing.hat-pairing checks them
-SIGMA = (9, 7, 8, 3, 4, 5, 6, 1, 2, 0)
-EPS = (1, 1, 1, 1, 1, 1, -1, 1, 1, 1)
 
 # leg pairs on m_minus, keyed by the printed subscript
 LEG_PAIRS = {"12": (0, 1), "13": (0, 2), "23": (1, 2)}

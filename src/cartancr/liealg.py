@@ -9,8 +9,8 @@ element Z is visible block-wise.  Three ordered bases are provided:
 * cr -- complex combinations X(10) = (X|1 - i X|2)/2 and conjugates,
   closed under conjugation, with e_-2 and E_2 real;
 * f -- the standard basis scaled, f_k = s_k e_k with s_k = 1/sqrt12 at
-  degree 0 and 1/sqrt6 elsewhere: a real orthonormal-up-to-sign basis
-  for the Killing form.
+  degree 0 and 1/sqrt6 elsewhere, in which the Killing matrix is the signed
+  permutation (SIGMA, EPS); cohomology and cli read that one table from here.
 
 Degrees by position are (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2) in every basis.
 """
@@ -64,6 +64,14 @@ _F_SCALES = tuple(AlgNum.sqrt3(Fraction(1, 6)) if d == 0 else AlgNum.sqrt6(Fract
 
 # index of the conjugate partner in the cr basis
 CR_CONJ = (0, 2, 1, 4, 3, 6, 5, 8, 7, 9)
+
+# the f-basis Killing matrix is the signed permutation K_ab = EPS[a] when
+# b = SIGMA[a], else 0; it gives the hat duality f-hat_b = f_SIGMA[b],
+# f^a = EPS[a] K(f-hat_a, .).  Literal, since deriving it from
+# killing_matrix would build the f structure constants at import; the
+# checks killing.matrix and killing.hat-pairing hold it to that matrix
+SIGMA = (9, 7, 8, 3, 4, 5, 6, 1, 2, 0)
+EPS = (1, 1, 1, 1, 1, 1, -1, 1, 1, 1)
 
 
 def mat_add(a, b):
@@ -221,19 +229,11 @@ def grading_decomposition() -> dict:
 
 
 def killing_form(x_matrix, y_matrix) -> AlgNum:
-    """trace(ad X o ad Y) = sum x_a K_ab y_b over the nonzero entries of
-    the f-basis Killing matrix K, x and y the f coordinates of X and Y."""
+    """trace(ad X o ad Y) = sum_a EPS[a] x_a y_SIGMA[a], with x and y the f
+    coordinates of X and Y read by Basis.expand, which raises on bad input."""
     f = build_basis("f")
     x, y = f.expand(x_matrix), f.expand(y_matrix)
-    return sum((x[a] * k * y[b] for a, b, k in _f_gram()), ZERO)
-
-
-@cache
-def _f_gram() -> tuple:
-    """The nonzero entries (a, b, K_ab) of the f-basis Killing matrix,
-    computed once: the f basis is fixed."""
-    return tuple((a, b, k) for a, row in enumerate(killing_matrix(build_basis("f")))
-                 for b, k in enumerate(row) if not k.is_zero())
+    return sum((x[a] * y[b] * e for a, (b, e) in enumerate(zip(SIGMA, EPS))), ZERO)
 
 
 def killing_matrix(basis: Basis):

@@ -4,11 +4,11 @@ Every coefficient that occurs anywhere in this package (1/sqrt6,
 1/sqrt12 = sqrt3/6, i/2, sqrt2, ...) lives in this one field, so no
 general number-field machinery is needed.  An element is stored as eight
 integers over one positive common denominator: the real and imaginary
-parts each expand over the radical basis (1, sqrt2, sqrt3, sqrt6), and
-`re`/`im` give those coordinates as Fractions.  The ring operations work
-on the integers alone, with one gcd reduction per sum, difference or
-product, and none when an operand is zero, since the result is then an
-operand or its negative.
+parts each expand over the radical basis (1, sqrt2, sqrt3, sqrt6), which
+no other module spells: serialize and algnum_latex write it out.  The ring
+operations work on the integers alone, with one gcd reduction per sum,
+difference or product, and none when an operand is zero, since the result
+is then an operand or its negative.
 """
 
 from __future__ import annotations
@@ -18,15 +18,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import neg
 
-# radical basis indices
-_ONE, _R2, _R3, _R6 = 0, 1, 2, 3
-
 _RADICAL_FLOAT = (1.0, 2 ** 0.5, 3 ** 0.5, 6 ** 0.5)
 
 # one term of a serialized part: a sign, then q, q*rK or rK, with q digits
 # or digits/digits; the first term has no sign or "-", every later one a sign
 _TERM = re.compile(r"([+-]?)(?:([0-9]+(?:/[0-9]+)?)(?:\*r([236]))?|r([236]))")
-_TERM_INDEX = {None: _ONE, "2": _R2, "3": _R3, "6": _R6}
+# the radicand of a term -> its coordinate over (1, sqrt2, sqrt3, sqrt6)
+_TERM_INDEX = {None: 0, "2": 1, "3": 2, "6": 3}
 
 Rat = int | Fraction
 
@@ -278,8 +276,8 @@ class AlgNum:
     @staticmethod
     def deserialize(text: str) -> "AlgNum":
         """Inverse of serialize: only text that serialize writes back
-        unchanged is read, other text raises ValueError, a value that is not
-        a str TypeError."""
+        unchanged is read; other text, such as "1.5", "1e3", "1_000", "2/4",
+        "-0" or "1+i*(0)", raises ValueError, a value that is not a str TypeError."""
         if not isinstance(text, str):
             raise TypeError(f"AlgNum text must be a str, not {type(text).__name__}")
         re_s, sep, im_s = text.partition("+i*(")
@@ -294,6 +292,42 @@ class AlgNum:
 
     def __repr__(self):
         return f"AlgNum({self.serialize()})"
+
+
+def _latex_rat(q: Fraction, lead: bool) -> str:
+    sign = "-" if q < 0 else ("" if lead else "+")
+    q = abs(q)
+    body = f"\\frac{{{q.numerator}}}{{{q.denominator}}}" if q.denominator != 1 else str(q.numerator)
+    return sign + body
+
+
+def algnum_latex(x: AlgNum) -> str:
+    """Render an exact scalar; pure rationals and pure imaginary rationals
+    get the compact forms used in the displayed equations."""
+    if x.is_zero():
+        return "0"
+    parts = []
+    radicals = ("", r"\sqrt{2}", r"\sqrt{3}", r"\sqrt{6}")
+    for q, rad in zip(x.re, radicals):
+        if q:
+            parts.append(_latex_rat(q, not parts) + rad)
+    im = [(q, rad) for q, rad in zip(x.im, radicals) if q]
+    if im:
+        if len(im) == 1 and not im[0][1]:
+            q = im[0][0]
+            sign = "-" if q < 0 else ("" if not parts else "+")
+            q = abs(q)
+            if q == 1:
+                parts.append(sign + "i")
+            elif q.denominator == 1:
+                parts.append(f"{sign}{q.numerator}i")
+            else:
+                num = "" if q.numerator == 1 else str(q.numerator)
+                parts.append(sign + f"\\frac{{{num}i}}{{{q.denominator}}}")
+        else:
+            inner = "".join(_latex_rat(q, not k) + rad for k, (q, rad) in enumerate(im))
+            parts.append(("+" if parts else "") + f"i\\left({inner}\\right)")
+    return "".join(parts) or "0"
 
 
 def _parse_radical(part: str, text: str) -> tuple:

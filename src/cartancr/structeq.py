@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import liealg
-from .numfield import AlgNum, ONE, I, HALF
+from .numfield import AlgNum, ONE, I, HALF, algnum_latex
 
 # the coframe is dual to the cr basis, so gen^k carries the label of the
 # k-th cr vector; the five theta labels double as the lower-index labels
@@ -528,42 +528,6 @@ def load_constraints(text: str) -> ConstraintTable:
 
 # ---------------------------------------------------------------------------
 # latex emission
-
-def _latex_rat(q: Fraction, lead: bool) -> str:
-    sign = "-" if q < 0 else ("" if lead else "+")
-    q = abs(q)
-    body = f"\\frac{{{q.numerator}}}{{{q.denominator}}}" if q.denominator != 1 else str(q.numerator)
-    return sign + body
-
-
-def algnum_latex(x: AlgNum) -> str:
-    """Render an exact scalar; pure rationals and pure imaginary rationals
-    get the compact forms used in the displayed equations."""
-    if x.is_zero():
-        return "0"
-    parts = []
-    radicals = ("", r"\sqrt{2}", r"\sqrt{3}", r"\sqrt{6}")
-    for q, rad in zip(x.re, radicals):
-        if q:
-            parts.append(_latex_rat(q, not parts) + rad)
-    im = [(q, rad) for q, rad in zip(x.im, radicals) if q]
-    if im:
-        if len(im) == 1 and not im[0][1]:
-            q = im[0][0]
-            sign = "-" if q < 0 else ("" if not parts else "+")
-            q = abs(q)
-            if q == 1:
-                parts.append(sign + "i")
-            elif q.denominator == 1:
-                parts.append(f"{sign}{q.numerator}i")
-            else:
-                num = "" if q.numerator == 1 else str(q.numerator)
-                parts.append(sign + f"\\frac{{{num}i}}{{{q.denominator}}}")
-        else:
-            inner = "".join(_latex_rat(q, not k) + rad for k, (q, rad) in enumerate(im))
-            parts.append(("+" if parts else "") + f"i\\left({inner}\\right)")
-    return "".join(parts) or "0"
-
 
 def _term_latex(coeff: AlgNum, body: str) -> str:
     s = algnum_latex(coeff)

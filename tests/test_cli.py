@@ -292,3 +292,17 @@ def test_a_malformed_fixture_is_named_by_its_file(tmp_path, capsys, name):
 def test_emit_rejects_unknown_kind():
     with pytest.raises(ValueError):
         cli.emit_artifacts("spectra", "json", FIXTURES)
+
+
+@pytest.mark.parametrize("name", ["nonsense", "", "ALL", None])
+def test_run_suite_rejects_an_unknown_suite(name):
+    with pytest.raises(ValueError, match="unknown suite"):
+        cli.run_suite(name, FIXTURES)
+
+
+@pytest.mark.parametrize("fmt", ["yaml", "LaTeX", None])
+@pytest.mark.parametrize("kind", cli.EMITS)
+def test_emit_rejects_an_unknown_format(kind, fmt):
+    # no kind falls back to one of the two formats
+    with pytest.raises(ValueError, match="unknown format"):
+        cli.emit_artifacts(kind, fmt, FIXTURES)

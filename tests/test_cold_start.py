@@ -1,7 +1,9 @@
 """A cold process loads only what it runs: `import cartancr` loads no
-submodule, each public name is imported from its home on first use, and an
---emit process loads neither cohomology nor model.  Every test starts a
-fresh interpreter, since this process has long since loaded the package."""
+submodule, each public name is imported from its home on first use, an
+--emit process loads neither cohomology nor model, a bases or killing-matrix
+emit loads no structeq, and the killing suite no cohomology.  Every test
+starts a fresh interpreter, since this process has long since loaded the
+package."""
 
 import json
 import os
@@ -63,6 +65,22 @@ def test_emit_loads_neither_cohomology_nor_model(kind):
     loaded = _cli_modules("--emit", kind, "--format", "json")
     assert "cartancr.liealg" in loaded
     assert not loaded & {"cartancr.cohomology", "cartancr.model"}
+
+
+@pytest.mark.parametrize("fmt", ["latex", "json"])
+@pytest.mark.parametrize("kind", ["bases", "killing-matrix"])
+def test_matrix_emits_load_no_structeq(kind, fmt):
+    # a matrix entry is printed by numfield alone
+    loaded = _cli_modules("--emit", kind, "--format", fmt)
+    assert "cartancr.numfield" in loaded
+    assert "cartancr.structeq" not in loaded
+
+
+def test_killing_suite_loads_no_cohomology():
+    # the signed permutation (SIGMA, EPS) is liealg's
+    loaded = _cli_modules("--suite", "killing")
+    assert "cartancr.liealg" in loaded
+    assert "cartancr.cohomology" not in loaded
 
 
 def test_suite_all_loads_cohomology_and_model():

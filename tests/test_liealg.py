@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartancr import linalg, model
-from cartancr.liealg import (CR_CONJ, DEGREES, DIM, Z_INDEX, Basis, build_basis,
-                             commutator, grading_decomposition, killing_form,
-                             killing_matrix, mat_add, mat_conj, mat_scale,
-                             mat_sub, membership_so32)
+from cartancr.liealg import (CR_CONJ, DEGREES, DIM, EPS, SIGMA, Z_INDEX, Basis,
+                             build_basis, commutator, grading_decomposition,
+                             killing_form, killing_matrix, mat_add, mat_conj,
+                             mat_scale, mat_sub, membership_so32)
 from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF
 
 R3 = AlgNum.sqrt3(Fraction(1, 3))    # 1/sqrt3
@@ -345,11 +345,7 @@ dense_coefficients = st.lists(st.sampled_from(_NONZERO_RATIONALS), min_size=8 * 
 @given(coeffs=dense_coefficients)
 @settings(deadline=None)
 def test_expand_round_trips_dense_combinations(kind, coeffs):
-    basis = build_basis(kind)
-    x = linalg.zeros(5, 5)
-    for c, e in zip(coeffs, basis.elements):
-        x = mat_add(x, mat_scale(c, e))
-    assert basis.expand(x) == coeffs
+    assert build_basis(kind).expand(_combination(coeffs, kind)) == coeffs
 
 
 def _product_membership(a) -> bool:
@@ -358,9 +354,9 @@ def _product_membership(a) -> bool:
     return all(x.is_zero() for row in lhs for x in row)
 
 
-def _standard_combination(coeffs):
+def _combination(coeffs, kind="standard"):
     x = linalg.zeros(5, 5)
-    for c, e in zip(coeffs, build_basis("standard").elements):
+    for c, e in zip(coeffs, build_basis(kind).elements):
         x = mat_add(x, mat_scale(c, e))
     return x
 
@@ -374,7 +370,7 @@ def _perturbed(args):
 gaussian = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
     lambda p: AlgNum.from_complex_rat(*p))
 positions = st.tuples(st.integers(0, 4), st.integers(0, 4))
-combinations = dense_coefficients.map(_standard_combination)
+combinations = dense_coefficients.map(_combination)
 # (matrix, verdict): members, members with one entry moved (no single-entry
 # matrix is a member), and sparse matrices whose verdict only the oracle knows
 membership_cases = st.one_of(
@@ -399,7 +395,23 @@ vectors = st.tuples(*([small] * DIM))
 
 
 def _combo(coeffs):
-    return _standard_combination(map(AlgNum.of, coeffs))
+    return _combination(map(AlgNum.of, coeffs))
+
+
+def test_sigma_eps_are_the_nonzero_pattern_of_the_f_killing_matrix():
+    km = killing_matrix(build_basis("f"))
+    nonzero = {(a, b): k for a, row in enumerate(km) for b, k in enumerate(row)
+               if not k.is_zero()}
+    assert nonzero == {(a, SIGMA[a]): AlgNum.of(EPS[a]) for a in range(DIM)}
+
+
+@given(dense_coefficients, dense_coefficients)
+@settings(deadline=None)
+def test_killing_form_is_the_f_killing_matrix_read_as_a_gram_matrix(u, v):
+    # the route killing_form no longer takes: every entry of K, zeros included
+    km = killing_matrix(build_basis("f"))
+    want = sum((u[a] * km[a][b] * v[b] for a in range(DIM) for b in range(DIM)), ZERO)
+    assert killing_form(_combination(u, "f"), _combination(v, "f")) == want
 
 
 @given(vectors, vectors, vectors)

@@ -11,13 +11,13 @@ from hypothesis import given, strategies as st
 from cartancr import cli
 from cartancr.structeq import (CONJ_GEN, GENERATOR_LATEX, GENERATOR_NAMES,
                                S_SYMBOL, T_SYMBOL, THETA_PAIRS, ConstraintTable,
-                               Equation, Form, PolyCoeff, _conj_slot, algnum_latex,
+                               Equation, Form, PolyCoeff, _conj_slot,
                                constraints_to_json, constraints_to_latex,
                                equations_diff, equations_from_json,
                                equations_to_json, equations_to_latex,
                                generate_structure_equations, load_constraints,
                                maurer_cartan_forms, verify_iz_change_of_frame)
-from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF
+from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF, algnum_latex
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
