@@ -64,7 +64,7 @@ def _suite_algebra():
              for x in jacobiator(a, b, c))
     yield ("algebra.jacobi", ok, "Jacobi identity over all 120 basis triples")
     cr = liealg.build_basis("cr")
-    ok = all(liealg.mat_conj(cr.elements[i]) == cr.elements[liealg.CR_CONJ[i]]
+    ok = all(linalg.mat_conj(cr.elements[i]) == cr.elements[liealg.CR_CONJ[i]]
              for i in range(10))
     yield ("algebra.reality", ok, "conjugation permutes the cr basis as expected")
     ok = all(k >= 5 for (i, j), terms in cr.structure_constants().items()
@@ -132,14 +132,18 @@ def _suite_torsion():
            "tracked boundary components take their closed-form values")
 
 
+class _FixtureError(ValueError):
+    """The one ValueError that main reports as a malformed fixture."""
+
+
 def _fixture(fixtures: Path, name: str, parse):
     """parse(text) of the fixture file `name`; a fixture that does not
-    decode or parse raises ValueError naming the file."""
+    decode or parse raises a ValueError naming the file."""
     path = fixtures / name
     try:
         return parse(path.read_text())
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise _FixtureError(f"{path}: {exc}") from exc
 
 
 def _suite_structure_equations(fixtures: Path):
@@ -337,7 +341,7 @@ def main(argv=None) -> int:
         print(f"cartancr: cannot read fixture {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except _FixtureError as exc:
         # a fixture that is not JSON or names a slot outside the algebra,
         # named by _fixture; exit 1 is kept for "a check failed"
         print(f"cartancr: malformed fixture {exc}", file=sys.stderr)

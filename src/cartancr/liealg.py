@@ -13,6 +13,8 @@ element Z is visible block-wise.  Three ordered bases are provided:
   permutation (SIGMA, EPS); cohomology and cli read that one table from here.
 
 Degrees by position are (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2) in every basis.
+
+Matrix arithmetic and its shape rule live in linalg; the bracket is commutator.
 """
 
 from __future__ import annotations
@@ -74,28 +76,8 @@ SIGMA = (9, 7, 8, 3, 4, 5, 6, 1, 2, 0)
 EPS = (1, 1, 1, 1, 1, 1, -1, 1, 1, 1)
 
 
-def mat_add(a, b):
-    """a + b; operands of different shapes raise ValueError."""
-    return [[x + y for x, y in zip(ra, rb, strict=True)]
-            for ra, rb in zip(a, b, strict=True)]
-
-
-def mat_sub(a, b):
-    """a - b; operands of different shapes raise ValueError."""
-    return [[x - y for x, y in zip(ra, rb, strict=True)]
-            for ra, rb in zip(a, b, strict=True)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_conj(a):
-    return [[x.conj() for x in row] for row in a]
-
-
 def commutator(a, b):
-    return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
 def _entries(m) -> list[AlgNum]:
@@ -128,8 +110,9 @@ def _build_cr():
     cr = [_STANDARD[0]]
     for k in (1, 3, 5, 7):
         # X(10) = (X|1 - i X|2)/2 and its conjugate X(01)
-        p = mat_scale(HALF, mat_add(_STANDARD[k], mat_scale(-I, _STANDARD[k + 1])))
-        cr += [p, mat_conj(p)]
+        p = linalg.mat_scale(HALF, linalg.mat_add(_STANDARD[k],
+                                                  linalg.mat_scale(-I, _STANDARD[k + 1])))
+        cr += [p, linalg.mat_conj(p)]
     return cr + [_STANDARD[9]]
 
 
@@ -203,7 +186,7 @@ def build_basis(kind: str) -> Basis:
     if kind == "cr":
         return Basis(kind, CR_NAMES, _build_cr())
     if kind == "f":
-        return Basis(kind, F_NAMES, [mat_scale(s, e) for s, e in zip(_F_SCALES, _STANDARD)])
+        return Basis(kind, F_NAMES, list(map(linalg.mat_scale, _F_SCALES, _STANDARD)))
     raise ValueError(f"unknown basis kind {kind!r}")
 
 

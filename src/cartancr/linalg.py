@@ -1,8 +1,9 @@
-"""Exact dense linear algebra over the AlgNum field.
+"""Exact dense linear algebra over the AlgNum field, and all matrix arithmetic.
 
 Gaussian elimination with exact pivoting; everything stays in
 Q(i, sqrt2, sqrt3), so ranks and kernels are certificates, not estimates.
-Matrices are lists of lists of AlgNum.
+Matrices are lists of lists of AlgNum; shapes that do not fit raise ValueError:
+a + b needs equal shapes, a b rows of len(b) and b rectangular, a v rows of len(v).
 """
 
 from __future__ import annotations
@@ -14,8 +15,28 @@ def zeros(rows: int, cols: int) -> list[list[AlgNum]]:
     return [[ZERO for _ in range(cols)] for _ in range(rows)]
 
 
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb, strict=True)]
+            for ra, rb in zip(a, b, strict=True)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb, strict=True)]
+            for ra, rb in zip(a, b, strict=True)]
+
+
+def mat_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def mat_conj(a):
+    return [[x.conj() for x in row] for row in a]
+
+
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    if any(len(row) != inner for row in a) or any(len(row) != cols for row in b):
+        raise ValueError(f"cannot multiply rows {[len(r) for r in a]} by {[len(r) for r in b]}")
     out = zeros(rows, cols)
     for i in range(rows):
         for k in range(inner):
@@ -29,6 +50,8 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
+    if any(len(row) != len(v) for row in a):
+        raise ValueError(f"cannot apply rows {[len(r) for r in a]} to {len(v)} entries")
     nonzero = [j for j, x in enumerate(v) if not x.is_zero()]
     return [sum((row[j] * v[j] for j in nonzero if not row[j].is_zero()), ZERO)
             for row in a]

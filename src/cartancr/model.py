@@ -65,7 +65,6 @@ def membership_model(coords) -> dict:
 # form CalI of the algebra: S^T I32 S = CalI, with h = 1/sqrt2 and
 #   S = [[h, 0, 0, 0, h], [0, h, 0, h, 0], [0, 0, 1, 0, 0],
 #        [h, 0, 0, 0, -h], [0, h, 0, -h, 0]].
-# Both directions are written out, as the pairings apply I32 by subtraction.
 _H = AlgNum.sqrt2() * HALF
 
 
@@ -74,13 +73,6 @@ def to_exchange_chart(coords) -> list[AlgNum]:
     w = _point(coords)
     return [_H * (w[0] + w[3]), _H * (w[1] + w[4]), w[2],
             _H * (w[1] - w[4]), _H * (w[0] - w[3])]
-
-
-def from_exchange_chart(coords) -> list[AlgNum]:
-    """Coordinates of the anti-diagonal form -> model coordinates: w = S v."""
-    v = _point(coords)
-    return [_H * (v[0] + v[4]), _H * (v[1] + v[3]), v[2],
-            _H * (v[0] - v[4]), _H * (v[1] - v[3])]
 
 
 def tangency_defects(x_matrix, coords) -> tuple[AlgNum, AlgNum]:

@@ -9,6 +9,8 @@ no other module spells: serialize and algnum_latex write it out.  The ring
 operations work on the integers alone, with one gcd reduction per sum,
 difference or product, and none when an operand is zero, since the result
 is then an operand or its negative.
+
+Everything is exact: no float occurs; a float oracle reads `re` and `im`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import neg
-
-_RADICAL_FLOAT = (1.0, 2 ** 0.5, 3 ** 0.5, 6 ** 0.5)
 
 # one term of a serialized part: a sign, then q, q*rK or rK, with q digits
 # or digits/digits; the first term has no sign or "-", every later one a sign
@@ -221,14 +221,6 @@ class AlgNum:
             return hash(Fraction(self._n[0], self._d))
         return hash((self._n, self._d))
 
-    # -- embeddings ---------------------------------------------------
-    def to_complex(self) -> complex:
-        """Floating-point image under the standard embedding (test oracle only)."""
-        n, d = self._n, self._d
-        re = sum(c / d * r for c, r in zip(n[:4], _RADICAL_FLOAT))
-        im = sum(c / d * r for c, r in zip(n[4:], _RADICAL_FLOAT))
-        return complex(re, im)
-
     def sign_real(self) -> int:
         """Exact sign of a real element.
 
@@ -409,6 +401,4 @@ ZERO = AlgNum.of(0)
 ONE = AlgNum.of(1)
 I = AlgNum.i()
 SQRT2 = AlgNum.sqrt2()
-SQRT3 = AlgNum.sqrt3()
-SQRT6 = AlgNum.sqrt6()
 HALF = AlgNum.of(Fraction(1, 2))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cartancr import cli
+from cartancr import cli, cohomology
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -287,6 +287,22 @@ def test_a_malformed_fixture_is_named_by_its_file(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err.startswith(f"cartancr: malformed fixture {tmp_path / name}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_a_check_side_value_error_is_not_a_malformed_fixture(tmp_path, monkeypatch):
+    # a library caller still sees a malformed fixture as a ValueError
+    (tmp_path / "constraints.json").write_text("{}")
+    with pytest.raises(ValueError, match="constraints.json"):
+        cli.emit_artifacts("constraints", "json", tmp_path)
+
+    # --suite kernels reads no fixture: a ValueError raised by one of its
+    # checks is a fault of the program, and must not read as a bad fixture
+    def fault():
+        raise ValueError("a check-side fault")
+
+    monkeypatch.setattr(cohomology, "degree1_columns_check", fault)
+    with pytest.raises(ValueError, match="a check-side fault"):
+        cli.main(["--suite", "kernels"])
 
 
 def test_emit_rejects_unknown_kind():

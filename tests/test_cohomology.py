@@ -106,13 +106,13 @@ def test_spencer_value_matches_matrix_oracle(kind, cochain, i, j):
         out = linalg.zeros(5, 5)
         for s, img in cochain.items():
             for t, v in img.items():
-                out = liealg.mat_add(out, liealg.mat_scale(coords[s] * v, x[t]))
+                out = linalg.mat_add(out, linalg.mat_scale(coords[s] * v, x[t]))
         return out
 
     unit = lambda k: [ONE if n == k else ZERO for n in range(liealg.DIM)]
-    minus = lambda m: liealg.mat_scale(-ONE, m)
-    want = liealg.mat_add(
-        liealg.mat_add(liealg.commutator(x[i], image(unit(j))),
+    minus = lambda m: linalg.mat_scale(-ONE, m)
+    want = linalg.mat_add(
+        linalg.mat_add(liealg.commutator(x[i], image(unit(j))),
                        minus(liealg.commutator(x[j], image(unit(i))))),
         minus(image(basis.expand(liealg.commutator(x[i], x[j])))))
     assert spencer_value(basis, cochain, i, j) == basis.expand(want)

@@ -1,8 +1,9 @@
 """Every name that a module, test or demo imports is used in that file,
 every private definition in the package is used somewhere in it, every
-public one somewhere in the project, no module of the package reads
-another module's private name, and the test extra installs every package
-the tests import."""
+public one, public methods included, by the package, a demo, the
+benchmark or the contract tests, no module of the package reads another
+module's private name or holds a float, and the test extra installs every
+package the tests import."""
 
 import ast
 import re
@@ -79,8 +80,15 @@ def _dead_private_definitions(sources: list[str]) -> list[str]:
 
 def _dead_public_definitions(defining: list[str], reading: list[str]) -> list[str]:
     """Public module-level functions, classes and constants of the defining
-    sources that no reading source (the defining ones among them) reads."""
-    defined = set().union(*(_module_level_definitions(ast.parse(t)) for t in defining))
+    sources, and public methods of their public classes, that no reading
+    source (the defining ones among them) reads."""
+    defined = set()
+    for tree in map(ast.parse, defining):
+        defined |= _module_level_definitions(tree)
+        defined.update(node.name for cls in tree.body
+                       if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                       for node in cls.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
     read = set().union(*(_names_read(ast.parse(t)) for t in reading))
     return sorted(n for n in defined - read if not n.startswith("_"))
 
@@ -106,24 +114,57 @@ def test_dead_public_definition_guard_sees_leftovers():
     lib = ("USED = 1\nSTRAY = 2\n"
            "def helper(): return USED\n"
            "def stray(): return helper()\n"
-           "class Kept: pass\n"
+           "class Kept:\n"
+           "    def used(self): pass\n"
+           "    def unused(self): pass\n"
+           "    def _own(self): pass\n"
            "class Gone: pass\n"
+           "class _Hidden:\n"
+           "    def method(self): pass\n"
            "def _private(): pass\n")
-    user = ('"""Gone, stray and STRAY are only mentioned here."""\n'
-            "import lib\nlib.Kept()\n")
-    assert _dead_public_definitions([lib], [lib, user]) == ["Gone", "STRAY", "stray"]
+    user = ('"""Gone, stray, STRAY and unused are only mentioned here."""\n'
+            "import lib\nlib.Kept().used()\n")
+    assert _dead_public_definitions([lib], [lib, user]) == ["Gone", "STRAY", "stray", "unused"]
 
 
 def test_no_dead_public_definitions():
-    # every public name of a module is used by the package, a test, a demo
-    # or the benchmark; the package __init__ defines no public name
+    # every public name of a module is used by the package, a demo, the
+    # benchmark or the contract tests: a name only other tests read belongs
+    # in those tests; the package __init__ defines no public name
     package = sorted(p for p in (ROOT / "src/cartancr").glob("*.py")
                      if p.name != "__init__.py")
-    readers = [p for d in ("src", "tests", "demos", "bench")
+    readers = [p for d in ("src", "demos", "bench")
                for p in sorted((ROOT / d).rglob("*.py"))]
-    assert len(package) > 5 and len(readers) > 20
+    readers.append(ROOT / "tests/test_acceptance.py")
+    assert len(package) > 5 and len(readers) > 15
     assert _dead_public_definitions([p.read_text() for p in package],
                                     [p.read_text() for p in readers]) == []
+
+
+def _floats(source: str) -> list[str]:
+    """Float and complex literals, and float( and complex( calls, of a source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "complex")):
+            found.append((node.lineno, f"{node.func.id}("))
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_float_guard_sees_leftovers():
+    src = ("x = 2 ** 0.5\ny = 1j\nz = float('1')\nw = complex(1, 2)\n"
+           "n = 3 // 2\ns = 'float(1.0)'\nt = isinstance(n, float)\n")
+    assert _floats(src) == ["1: 0.5", "2: 1j", "3: float(", "4: complex("]
+
+
+def test_the_package_holds_no_float():
+    # every number stays an exact field element; floats are a test oracle
+    files = sorted((ROOT / "src/cartancr").glob("*.py"))
+    assert len(files) > 5
+    found = {p.name: _floats(p.read_text()) for p in files}
+    assert {name: f for name, f in found.items() if f} == {}
 
 
 def _foreign_private_reads(source: str) -> list[str]:

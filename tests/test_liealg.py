@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from cartancr import linalg, model
 from cartancr.liealg import (CR_CONJ, DEGREES, DIM, EPS, SIGMA, Z_INDEX, Basis,
                              build_basis, commutator, grading_decomposition,
-                             killing_form, killing_matrix, mat_add, mat_conj,
-                             mat_scale, mat_sub, membership_so32)
+                             killing_form, killing_matrix, membership_so32)
+from cartancr.linalg import mat_add, mat_conj, mat_scale, mat_sub
 from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF
 
 R3 = AlgNum.sqrt3(Fraction(1, 3))    # 1/sqrt3
@@ -221,10 +221,11 @@ def test_change_of_basis_witnesses():
 
 
 def test_congruence_relates_the_two_forms():
-    # S read off the chart, column j = S e_j
+    # S^T I32 S = CalI, read through T = S^-1 off the chart (column j = T e_j)
+    # as T^T CalI T = I32
     unit = [[ONE if i == j else ZERO for i in range(5)] for j in range(5)]
-    s = linalg.transpose([model.from_exchange_chart(e) for e in unit])
-    assert linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(I32, s)) == CAL_I
+    t = linalg.transpose([model.to_exchange_chart(e) for e in unit])
+    assert linalg.mat_mul(linalg.transpose(t), linalg.mat_mul(CAL_I, t)) == I32
 
 
 @pytest.mark.parametrize("kind", [5, None, "F", "CR", "e"])
@@ -280,17 +281,25 @@ def test_matrices_of_other_entries_raise_type_error(entry, where):
         model.tangency_defects(bad, (ONE, I, ZERO, ONE, -I))
 
 
-@pytest.mark.parametrize("row_lengths", [(6,) * 5, (5,) * 4], ids=["5x6", "4x5"])
+@pytest.mark.parametrize("row_lengths", [(6,) * 5, (5,) * 4, (4,) * 4],
+                         ids=["5x6", "4x5", "4x4"])
 def test_elementwise_operations_refuse_other_shapes(row_lengths):
     # zip would cut the operand to the 5x5 corner it shares with the other
-    # one: a 5x6 b with b[0][5] = 1 added to zero gave the zero matrix
+    # one: a 5x6 b with b[0][5] = 1 added to zero gave the zero matrix, a
+    # 5x5 times a 4x4 matrix was 5x4, and a 5x5 matrix took a 4-vector
     bad = [[ZERO] * n for n in row_lengths]
     bad[0][-1] = ONE
     square = build_basis("f").elements[0]
-    for op in (mat_add, mat_sub, commutator):
-        for a, b in ((square, bad), (bad, square)):
+    for a, b in ((square, bad), (bad, square)):
+        for op in (mat_add, mat_sub, commutator):
             with pytest.raises(ValueError):
                 op(a, b)
+        # a b and a applied to b's first column need rows of a with len(b) entries
+        if len(a[0]) != len(b):
+            with pytest.raises(ValueError):
+                linalg.mat_mul(a, b)
+            with pytest.raises(ValueError):
+                linalg.mat_vec(a, [row[0] for row in b])
 
 
 @pytest.mark.parametrize("kind", ["standard", "cr", "f"])
