@@ -277,6 +277,15 @@ def l1_boundary_components(gen: dict):
     return c1, v[1], v[2]
 
 
+_MINUS_HALF_I = AlgNum.i(Fraction(-1, 2))
+
+
+def _re_im(x: AlgNum) -> tuple[AlgNum, AlgNum]:
+    """Re x = (x + conj x)/2 and Im x = (x - conj x)(-i/2), as field elements."""
+    c = x.conj()
+    return (x + c) * HALF, (x - c) * _MINUS_HALF_I
+
+
 def torsion_complement() -> dict:
     """Span of the del-images of the l^1 generators inside the rank-4
     torsion space, with coordinates (Re c1, Im c1, Re c2, Im c2)."""
@@ -284,8 +293,7 @@ def torsion_complement() -> dict:
     comps = [l1_boundary_components(g) for g in gens]
     rows = []
     for c1, c2, _ in comps:
-        rows.append([AlgNum(re=c1.re), AlgNum(re=c1.im),
-                     AlgNum(re=c2.re), AlgNum(re=c2.im)])
+        rows.append([*_re_im(c1), *_re_im(c2)])
     comp = linalg.nullspace(rows)   # vectors orthogonal to every image row
     return {
         "matrix": rows,

@@ -20,6 +20,8 @@ from . import liealg, linalg
 from .numfield import AlgNum, ZERO, ONE, HALF
 
 PYTHAGOREAN_SAMPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+# -i/2, for Im x = (x - conj x)(-i/2)
+_MINUS_HALF_I = AlgNum.i() * -HALF
 
 
 def _point(coords, n: int = 5) -> list[AlgNum]:
@@ -50,7 +52,8 @@ def membership_model(coords) -> dict:
     sym = symmetric_pairing(t, t)
     herm = hermitian_pairing(t, t)
     pos = t[3] * t[4].conj()
-    im = AlgNum(re=pos.im)          # Im of the product, a real field element
+    # Im of the product, a real field element
+    im = (pos - pos.conj()) * _MINUS_HALF_I
     sign = im.sign_real()
     return {
         "member": sym.is_zero() and herm.is_zero() and sign > 0,

@@ -5,10 +5,23 @@ Every coefficient that occurs anywhere in this package (1/sqrt6,
 general number-field machinery is needed.  An element is stored as eight
 integers over one positive common denominator: the real and imaginary
 parts each expand over the radical basis (1, sqrt2, sqrt3, sqrt6), which
-no other module spells: serialize and algnum_latex write it out.  The ring
-operations work on the integers alone, with one gcd reduction per sum,
-difference or product, and none when an operand is zero, since the result
-is then an operand or its negative.
+no other module spells: serialize and algnum_latex write it out.  The
+stored form is canonical: eight ints over one positive denominator, in
+lowest terms, so each element has exactly one.
+
+The ring operations work on the integers alone and do only the work their
+operands need; since the form is unique, every path stores the same
+result.  They dispatch in this order:
+  1. an operand that is not an AlgNum is read as one if it is an int or
+     a Fraction, and is otherwise NotImplemented;
+  2. a zero operand costs no arithmetic: the result is an operand or its
+     negative;
+  3. a product with a rational factor scales the other factor's eight
+     numerators (8 integer products, not 64), then one gcd reduction;
+  4. a sum or difference over one denominator adds the numerators, then
+     one gcd reduction, or none when that denominator is 1;
+  5. anything else is the full formula (64 products, or a cross-multiplied
+     sum), then one gcd reduction.
 
 Everything is exact: no float occurs; a float oracle reads `re` and `im`.
 """
@@ -18,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import neg
+from operator import add, neg, sub
 
 # one term of a serialized part: a sign, then q, q*rK or rK, with q digits
 # or digits/digits; the first term has no sign or "-", every later one a sign
@@ -27,6 +40,9 @@ _TERM = re.compile(r"([+-]?)(?:([0-9]+(?:/[0-9]+)?)(?:\*r([236]))?|r([236]))")
 _TERM_INDEX = {None: 0, "2": 1, "3": 2, "6": 3}
 
 Rat = int | Fraction
+
+# the numerators of zero: `n == _ZEROS` is the zero test of the ring operations
+_ZEROS = (0,) * 8
 
 
 class AlgNum:
@@ -54,18 +70,17 @@ class AlgNum:
                                 f"not {type(x).__name__}")
         # reduced Fractions over their lcm already have gcd(d, *n) == 1
         d = lcm(*(x.denominator for x in coords))
-        n = tuple(x.numerator * (d // x.denominator) for x in coords)
-        object.__setattr__(self, "_n", n)
-        object.__setattr__(self, "_d", d)
+        _set_n(self, tuple([x.numerator * (d // x.denominator) for x in coords]))
+        _set_d(self, d)
 
     @staticmethod
     def _make(n: tuple, d: int) -> "AlgNum":
         """Trusted constructor for the ring operations: `n` must be an
         8-tuple of int and `d` > 0 with gcd(d, *n) == 1; both are stored
         as they are."""
-        x = object.__new__(AlgNum)
-        object.__setattr__(x, "_n", n)
-        object.__setattr__(x, "_d", d)
+        x = _new(AlgNum)
+        _set_n(x, n)
+        _set_d(x, d)
         return x
 
     def __setattr__(self, name, value):
@@ -110,7 +125,7 @@ class AlgNum:
 
     # -- predicates --------------------------------------------------
     def is_zero(self) -> bool:
-        return not any(self._n)
+        return self._n == _ZEROS
 
     def is_rational(self) -> bool:
         return not any(self._n[1:])
@@ -120,8 +135,11 @@ class AlgNum:
 
     # -- ring ops ----------------------------------------------------
     def __add__(self, other) -> "AlgNum":
-        other = _coerce(other)
-        return other if other is NotImplemented else _combine(self, other, 1)
+        if type(other) is not AlgNum:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return other
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
@@ -129,27 +147,36 @@ class AlgNum:
         return AlgNum._make(tuple(map(neg, self._n)), self._d)
 
     def __sub__(self, other) -> "AlgNum":
-        other = _coerce(other)
-        return other if other is NotImplemented else _combine(self, other, -1)
+        if type(other) is not AlgNum:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return other
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "AlgNum":
         other = _coerce(other)
         return other if other is NotImplemented else _combine(other, self, -1)
 
     def __mul__(self, other) -> "AlgNum":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
+        if type(other) is not AlgNum:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return other
         a, b = self._n, other._n
         # a zero factor is the product: zero has one stored form
-        if not any(a):
+        if a == _ZEROS:
             return self
-        if not any(b):
+        if b == _ZEROS:
             return other
-        # (p + i q)(r + i s) over (1, sqrt2, sqrt3, sqrt6), with
-        # sqrt2 sqrt3 = sqrt6, sqrt2 sqrt6 = 2 sqrt3, sqrt3 sqrt6 = 3 sqrt2
         p0, p1, p2, p3, q0, q1, q2, q3 = a
         r0, r1, r2, r3, s0, s1, s2, s3 = b
+        # a rational factor scales the other factor's numerators
+        if not (r1 or r2 or r3 or s0 or s1 or s2 or s3):
+            return _reduced([r0 * c for c in a], self._d * other._d)
+        if not (p1 or p2 or p3 or q0 or q1 or q2 or q3):
+            return _reduced([p0 * c for c in b], self._d * other._d)
+        # (p + i q)(r + i s) over (1, sqrt2, sqrt3, sqrt6), with
+        # sqrt2 sqrt3 = sqrt6, sqrt2 sqrt6 = 2 sqrt3, sqrt3 sqrt6 = 3 sqrt2
         return _reduced((
             p0 * r0 - q0 * s0 + 2 * (p1 * r1 - q1 * s1)
             + 3 * (p2 * r2 - q2 * s2) + 6 * (p3 * r3 - q3 * s3),
@@ -201,8 +228,11 @@ class AlgNum:
         return num * AlgNum._make((q, 0, 0, 0, 0, 0, 0, 0), p)
 
     def __truediv__(self, other) -> "AlgNum":
-        other = _coerce(other)
-        return other if other is NotImplemented else self * other.inv()
+        if type(other) is not AlgNum:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return other
+        return self * other.inv()
 
     def __rtruediv__(self, other) -> "AlgNum":
         other = _coerce(other)
@@ -210,9 +240,10 @@ class AlgNum:
 
     # -- comparisons / hashing ---------------------------------------
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
+        if type(other) is not AlgNum:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return other
         return self._d == other._d and self._n == other._n
 
     def __hash__(self):
@@ -286,6 +317,13 @@ class AlgNum:
         return f"AlgNum({self.serialize()})"
 
 
+# the slots are set through their member descriptors: AlgNum.__setattr__
+# raises, so an instance is immutable once built
+_new = object.__new__
+_set_n = AlgNum._n.__set__
+_set_d = AlgNum._d.__set__
+
+
 def _latex_rat(q: Fraction, lead: bool) -> str:
     sign = "-" if q < 0 else ("" if lead else "+")
     q = abs(q)
@@ -349,15 +387,20 @@ def _surd_sign(p: int, q: int, norm: int) -> int:
 
 
 def _combine(x: AlgNum, y: AlgNum, sign: int) -> AlgNum:
-    """x + sign * y for sign +1 or -1 as one cross-multiplied sum; a zero
-    operand costs no arithmetic."""
+    """x + sign * y for sign +1 or -1.  A zero operand costs no arithmetic;
+    over one denominator the numerators add, with no gcd when it is 1 (the
+    sum of integers is in lowest terms); anything else is one
+    cross-multiplied sum."""
     n2 = y._n
-    if not any(n2):
+    if n2 == _ZEROS:
         return x
     n1 = x._n
-    if not any(n1):
+    if n1 == _ZEROS:
         return y if sign > 0 else -y
     d1, d2 = x._d, y._d
+    if d1 == d2:
+        n = tuple(map(add if sign > 0 else sub, n1, n2))
+        return AlgNum._make(n, 1) if d1 == 1 else _reduced(n, d1)
     e = sign * d1
     return _reduced([a * d2 + b * e for a, b in zip(n1, n2)], d1 * d2)
 
@@ -372,14 +415,13 @@ def _reduced(n, d: int) -> AlgNum:
     all nine integers)."""
     g = gcd(d, *n)
     if g != 1:
-        return AlgNum._make(tuple(c // g for c in n), d // g)
+        return AlgNum._make(tuple([c // g for c in n]), d // g)
     return AlgNum._make(tuple(n), d)
 
 
 def _coerce(x):
-    """x as an AlgNum if it is an AlgNum, int or Fraction, else NotImplemented."""
-    if isinstance(x, AlgNum):
-        return x
+    """An int or Fraction as an AlgNum, anything else NotImplemented; the
+    ring operations call it only for an operand that is not an AlgNum."""
     if isinstance(x, (int, Fraction)):
         return AlgNum.of(x)
     return NotImplemented

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from cartancr import cli, cohomology
+from cartancr.numfield import AlgNum
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -58,12 +59,18 @@ def test_report_and_artifacts_match_goldens(report):
         assert golden.emit_ok(kind, fmt, text), (kind, fmt)
 
 
+def _layers_constant(name: str) -> ast.expr:
+    """The value of a module-level assignment in bench/layers.py, read from
+    the source, not imported."""
+    tree = ast.parse((ROOT / "bench" / "layers.py").read_text())
+    return next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == [name])
+
+
 def test_benchmark_span_targets_resolve():
     # bench/layers.py wraps each (owner, attribute) of its SPANNED tuple by
-    # name; the tuple is read from the source, not imported
-    tree = ast.parse((ROOT / "bench" / "layers.py").read_text())
-    spanned = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                   and [ast.unparse(t) for t in node.targets] == ["SPANNED"])
+    # name, reading the attribute from the owner's own __dict__
+    spanned = _layers_constant("SPANNED")
     assert len(spanned.elts) >= 20
     for entry in spanned.elts:
         _, owner, attr = entry.elts
@@ -76,8 +83,8 @@ def test_benchmark_span_targets_resolve():
 
 def test_benchmark_calls_resolve_and_hold(monkeypatch):
     # one seeded library round runs the public calls the benchmark makes and
-    # checks each result; the suite functions its traced run wraps by name
-    # are read from the source of bench/layers.py
+    # checks each result; the suite functions and the AlgNum operations its
+    # traced run wraps by name are read from the source of bench/layers.py
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     inputs = importlib.import_module("inputs")
     library = importlib.import_module("library")
@@ -85,13 +92,16 @@ def test_benchmark_calls_resolve_and_hold(monkeypatch):
     results, _ = library.run_round(session)
     ok = library.check_round(session, results)
     assert ok and all(ok.values()), sorted(k for k, v in ok.items() if not v)
-    tree = ast.parse((ROOT / "bench" / "layers.py").read_text())
-    funcs = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                 and [ast.unparse(t) for t in node.targets] == ["SUITE_FUNCS"])
-    names = ast.literal_eval(funcs.args[0].args[1])
+    names = ast.literal_eval(_layers_constant("SUITE_FUNCS").args[0].args[1])
     assert len(names) == 7
     for name in names:
         assert callable(getattr(cli, name, None)), name
+    # the counters replace AlgNum.__dict__[attr], so each must be the
+    # class's own attribute, not an inherited one
+    counted = ast.literal_eval(_layers_constant("COUNTED"))
+    assert {attr for _, attr in counted} >= {"__add__", "__radd__", "__mul__", "__rmul__", "inv"}
+    for _, attr in counted:
+        assert callable(vars(AlgNum).get(attr)), attr
 
 
 def test_json_report_is_byte_identical(capsys):

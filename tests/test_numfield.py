@@ -161,24 +161,90 @@ def _one_coordinate(k, q):
     return AlgNum(coords[:4], coords[4:])
 
 
+_integer_eight = st.lists(st.integers(-10**6, 10**6), min_size=8, max_size=8)
+
 # the operand shapes the package multiplies: dense (seeded bench inputs),
-# one coordinate (the basis normalizers), rational, purely imaginary, zero
+# one coordinate (the basis normalizers), rational, purely imaginary, zero;
+# integer coordinates (denominator 1) and a shared denominator 6 reach the
+# sums that add numerators without cross-multiplying
 shaped = st.one_of(
     _eight.map(lambda c: AlgNum(c[:4], c[4:])),
     st.builds(_one_coordinate, st.integers(0, 7), _nonzero_coords),
     _nonzero_coords.map(AlgNum.of),
     _eight.map(lambda c: AlgNum((0, 0, 0, 0), c[4:])),
     st.just(ZERO),
+    _integer_eight.map(lambda c: AlgNum(c[:4], c[4:])),
+    st.integers(-10**6, 10**6).map(AlgNum.of),
+    _over_one_denominator(6),
 )
 
 
 @given(shaped, shaped)
+# a rational factor whose scaled numerators must be reduced: 2/3 * 3/4 r2
+@example(AlgNum.of(Fraction(2, 3)), AlgNum.sqrt2(Fraction(3, 4)))
+@example(AlgNum.sqrt2(Fraction(3, 4)), AlgNum.of(Fraction(2, 3)))
+# rational times rational giving an integer
+@example(AlgNum.of(Fraction(2, 3)), AlgNum.of(Fraction(-3, 2)))
 def test_product_matches_the_radical_table(x, y):
     got = x * y
     assert _canonical(got)
     assert _ref(got) == _ref_mul(_ref(x), _ref(y))
     tol = 1e-12 * (1.0 + _size(x)) * (1.0 + _size(y))
     assert abs(_complex(got) - _complex(x) * _complex(y)) <= tol
+
+
+@given(shaped, shaped)
+# integer sums and differences that cancel to zero
+@example(AlgNum((3, -1, 0, 2), (0, 0, 5, 0)), AlgNum((-3, 1, 0, -2), (0, 0, -5, 0)))
+@example(AlgNum.of(7), AlgNum.of(-7))
+# one denominator whose sum must be reduced: 1/6 + 1/6 r2 and 1/6 - 1/6 r2
+@example(AlgNum((Fraction(1, 6), Fraction(1, 6), 0, 0)),
+         AlgNum((Fraction(1, 6), Fraction(-1, 6), 0, 0)))
+def test_sums_and_differences_match_the_fraction_reference(x, y):
+    rx, ry = _ref(x), _ref(y)
+    for got, want in ((x + y, tuple(a + b for a, b in zip(rx, ry))),
+                      (x - y, tuple(a - b for a, b in zip(rx, ry))),
+                      (y - x, tuple(b - a for a, b in zip(rx, ry)))):
+        assert _canonical(got)
+        assert _ref(got) == want
+
+
+@given(shaped, st.one_of(st.integers(-10**6, 10**6), fractions))
+@example(AlgNum.sqrt2(Fraction(3, 4)), 2)
+@example(AlgNum.sqrt2(Fraction(3, 4)), Fraction(2, 3))
+@example(AlgNum.of(Fraction(3, 2)), Fraction(3, 2))
+@example(AlgNum.of(5), 5)
+@example(AlgNum.of(Fraction(1, 2)), 0)
+def test_int_and_fraction_operands_on_either_side(x, q):
+    rx, rq = _ref(x), (Fraction(q),) + (Fraction(0),) * 7
+    for got, want in ((x + q, tuple(a + b for a, b in zip(rx, rq))),
+                      (q + x, tuple(a + b for a, b in zip(rx, rq))),
+                      (x - q, tuple(a - b for a, b in zip(rx, rq))),
+                      (q - x, tuple(b - a for a, b in zip(rx, rq))),
+                      (x * q, tuple(a * q for a in rx)),
+                      (q * x, tuple(a * q for a in rx))):
+        assert _canonical(got)
+        assert _ref(got) == want
+    assert (x == q) == (q == x) == (rx == rq)
+
+
+def test_elements_are_immutable():
+    a = AlgNum((1, Fraction(1, 2), 0, 0), (0, 0, 3, 0))
+    b = AlgNum.sqrt2(Fraction(3, 4))
+    m, n = AlgNum((2, 0, -1, 0)), AlgNum((0, 5, 0, 0), (1, 0, 0, 0))
+    values = {
+        "constructed": a, "of": AlgNum.of(Fraction(2, 3)), "a + b": a + b,
+        "a - b": a - b, "m + n": m + n, "m - n": m - n, "a + 1": a + 1,
+        "1 - a": 1 - a, "-a": -a, "a * b": a * b, "a * 2": a * 2,
+        "2 * a": 2 * a, "a * 0": a * 0, "a + 0": a + 0, "a - a": a - a,
+        "a / b": a / b, "1 / a": 1 / a, "inv a": a.inv(), "conj a": a.conj(),
+    }
+    for name, x in values.items():
+        text = x.serialize()
+        for attr in ("_n", "_d", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, (0,) * 8 if attr == "_n" else 1)
+        assert x.serialize() == text and _canonical(x), name
 
 
 def _canonical(x):
