@@ -151,26 +151,20 @@ _DEGREE2_ROW_FOR_SUBJECT = {
 
 
 def degree2_system_check() -> dict:
-    """Compare the machine-assembled shifting-degree-2 pairing rows, each
-    normalized by its subject coefficient, with the closed-form system."""
-    data = codifferential_kernel(2)
-    cols = data["variables"]
-    by_label = dict(zip(data["row_labels"], data["matrix"]))
-    residual = []
-    normalized = []
+    """Compare the machine-assembled shifting-degree-2 pairing rows with the
+    closed-form system by products alone: each printed row's residual is
+    row - pivot * printed, pivot being the row's subject coefficient, and a
+    match needs every pivot nonzero and every residual zero."""
+    labels, rows = _pairing_rows()
+    by_label = dict(zip(labels, rows[2]))
+    cols = PATTERN_VARS[2]
+    match, residual = True, []
     for subject, printed in PRINTED_DEGREE2_SYSTEM:
         row = by_label[_DEGREE2_ROW_FOR_SUBJECT[subject]]
         pivot = row[cols.index(subject)]
-        norm = [x / pivot for x in row]
-        normalized.append(norm)
-        residual.append([n - printed.get(var, ZERO) for var, n in zip(cols, norm)])
-    return {
-        "match": all(x.is_zero() for row in residual for x in row),
-        "normalized": normalized,
-        "residual": residual,
-        "kernel_dim": data["dim"],
-        "kernel": data["kernel"],
-    }
+        residual.append([x - pivot * printed.get(var, ZERO) for var, x in zip(cols, row)])
+        match = match and not pivot.is_zero() and all(x.is_zero() for x in residual[-1])
+    return {"match": match, "residual": residual}
 
 
 # closed-form columns of the shifting-degree-1 pairing matrix, keyed by
@@ -189,14 +183,10 @@ PRINTED_DEGREE1_COLUMNS = {
 
 
 def degree1_columns_check() -> bool:
-    data = codifferential_kernel(1)
-    cols = data["variables"]
-    for k, var in enumerate(cols):
-        printed = PRINTED_DEGREE1_COLUMNS[var]
-        for label, row in zip(data["row_labels"], data["matrix"]):
-            if row[k] != printed.get(label, ZERO):
-                return False
-    return True
+    labels, rows = _pairing_rows()
+    return all(row[k] == PRINTED_DEGREE1_COLUMNS[var].get(label, ZERO)
+               for k, var in enumerate(PATTERN_VARS[1])
+               for label, row in zip(labels, rows[1]))
 
 
 def degree3_reduced_residuals(vec: dict) -> list[AlgNum]:

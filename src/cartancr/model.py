@@ -102,8 +102,9 @@ def tangency_defects(x_matrix, coords) -> tuple[AlgNum, AlgNum]:
 def levi_form_tube(x) -> dict:
     """Levi data of the tube at a real cone point (x1, x2, x3).
 
-    Returns the holomorphic tangent basis, the restricted Levi matrix,
-    its kernel, and whether the kernel is the complex radial line."""
+    Returns the holomorphic tangent basis, the restricted Levi matrix, its
+    determinant and kernel dimension, read off the entries and the
+    determinant, and whether the kernel is the complex radial line."""
     p = _point(x, 3)
     if any(not c.is_real() for c in p):
         raise ValueError("cone points have real coordinates")
@@ -123,25 +124,15 @@ def levi_form_tube(x) -> dict:
 
     # two tangent vectors, so the Levi matrix is 2x2
     matrix = [[levi(u, v) for v in tangent] for u in tangent]
-    kernel = linalg.nullspace(matrix)
-    directions = []
-    radial = True
-    for k in kernel:
-        vec = [k[0] * tangent[0][i] + k[1] * tangent[1][i] for i in range(3)]
-        directions.append(vec)
-        # proportionality to (x1, x2, x3): all 2x2 minors with the point
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not (vec[i] * p[j] - vec[j] * p[i]).is_zero():
-                    radial = False
-    return {
-        "tangent_basis": tangent,
-        "matrix": matrix,
-        "determinant": matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0],
-        "kernel_dim": len(kernel),
-        "kernel_directions": directions,
-        "kernel_is_radial": radial and len(kernel) == 1,
-    }
+    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+    # rank 0, 1 or 2 of a 2x2 matrix: all entries zero, det zero, det nonzero
+    kernel_dim = (2 if all(c.is_zero() for row in matrix for c in row)
+                  else 1 if det.is_zero() else 0)
+    # on the cone x3 p = x1 t0 + x2 t1 for the tangent basis t0, t1, so the
+    # kernel is the radial line exactly when it is a line holding (x1, x2)
+    radial = kernel_dim == 1 and all(c.is_zero() for c in linalg.mat_vec(matrix, [x1, x2]))
+    return {"tangent_basis": tangent, "matrix": matrix, "determinant": det,
+            "kernel_dim": kernel_dim, "kernel_is_radial": radial}
 
 
 def levi_kernel_distribution_check(samples=PYTHAGOREAN_SAMPLES) -> dict:

@@ -86,6 +86,9 @@ class AlgNum:
     def __setattr__(self, name, value):
         raise AttributeError("AlgNum is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("AlgNum is immutable")
+
     @property
     def re(self) -> tuple:
         return _fractions(self._n[:4], self._d)
@@ -318,7 +321,7 @@ class AlgNum:
 
 
 # the slots are set through their member descriptors: AlgNum.__setattr__
-# raises, so an instance is immutable once built
+# and __delattr__ raise, so an instance is immutable once built
 _new = object.__new__
 _set_n = AlgNum._n.__set__
 _set_d = AlgNum._d.__set__

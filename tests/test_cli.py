@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cartancr import cli, cohomology
+from cartancr import cli, cohomology, liealg, linalg, structeq
 from cartancr.numfield import AlgNum
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,10 +59,10 @@ def test_report_and_artifacts_match_goldens(report):
         assert golden.emit_ok(kind, fmt, text), (kind, fmt)
 
 
-def _layers_constant(name: str) -> ast.expr:
-    """The value of a module-level assignment in bench/layers.py, read from
+def _bench_constant(name: str, file: str = "layers.py") -> ast.expr:
+    """The value of a module-level assignment in a bench/ file, read from
     the source, not imported."""
-    tree = ast.parse((ROOT / "bench" / "layers.py").read_text())
+    tree = ast.parse((ROOT / "bench" / file).read_text())
     return next(node.value for node in tree.body if isinstance(node, ast.Assign)
                 and [ast.unparse(t) for t in node.targets] == [name])
 
@@ -70,7 +70,7 @@ def _layers_constant(name: str) -> ast.expr:
 def test_benchmark_span_targets_resolve():
     # bench/layers.py wraps each (owner, attribute) of its SPANNED tuple by
     # name, reading the attribute from the owner's own __dict__
-    spanned = _layers_constant("SPANNED")
+    spanned = _bench_constant("SPANNED")
     assert len(spanned.elts) >= 20
     for entry in spanned.elts:
         _, owner, attr = entry.elts
@@ -92,16 +92,51 @@ def test_benchmark_calls_resolve_and_hold(monkeypatch):
     results, _ = library.run_round(session)
     ok = library.check_round(session, results)
     assert ok and all(ok.values()), sorted(k for k, v in ok.items() if not v)
-    names = ast.literal_eval(_layers_constant("SUITE_FUNCS").args[0].args[1])
+    names = ast.literal_eval(_bench_constant("SUITE_FUNCS").args[0].args[1])
     assert len(names) == 7
     for name in names:
         assert callable(getattr(cli, name, None)), name
     # the counters replace AlgNum.__dict__[attr], so each must be the
     # class's own attribute, not an inherited one
-    counted = ast.literal_eval(_layers_constant("COUNTED"))
+    counted = ast.literal_eval(_bench_constant("COUNTED"))
     assert {attr for _, attr in counted} >= {"__add__", "__radd__", "__mul__", "__rmul__", "inv"}
     for _, attr in counted:
         assert callable(vars(AlgNum).get(attr)), attr
+
+
+# the hook whose calls each count of bench/test_bench.py's COUNTS reads
+_COUNT_HOOKS = {
+    "numfield.mul_count": (AlgNum, "__mul__"),
+    "numfield.add_count": (AlgNum, "__add__"),
+    "numfield.inv_count": (AlgNum, "inv"),
+    "linalg.rref_calls": (linalg, "rref"),
+    "liealg.expand_calls": (liealg.Basis, "expand"),
+    "cohomology.kernel_calls": (cohomology, "codifferential_kernel"),
+    "cohomology.bracket_coords_calls": (cohomology, "bracket_coords"),
+    "structeq.generate_calls": (structeq, "generate_structure_equations"),
+}
+
+
+def test_benchmark_counts_stay_positive(monkeypatch):
+    # bench/test_bench.py requires every count to be > 0, so a change that
+    # removes calls must not zero one; the work is bench/layers.py run_work's:
+    # the full suite, the eight emits and one seeded library round
+    counts = ast.literal_eval(_bench_constant("COUNTS", "test_bench.py"))
+    assert sorted(counts) == sorted(_COUNT_HOOKS)
+    seen = dict.fromkeys(counts, 0)
+    for name, (owner, attr) in _COUNT_HOOKS.items():
+        def counted(*args, _fn=vars(owner)[attr], _name=name, **kwargs):
+            seen[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    inputs = importlib.import_module("inputs")
+    library = importlib.import_module("library")
+    cli.run_suite("all", FIXTURES)
+    for kind, fmt in golden.EMITS:
+        cli.emit_artifacts(kind, fmt, FIXTURES)
+    library.run_round(library.Session(ROOT, inputs.generate(1)))
+    assert all(seen.values()), seen
 
 
 def test_json_report_is_byte_identical(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cartancr import liealg, linalg
+from cartancr import cohomology, liealg, linalg
 from cartancr.cohomology import (PATTERN_VARS, SIGMA, bracket_coords,
                                  codifferential_kernel,
                                  degree1_columns_check, degree2_system_check,
@@ -169,11 +169,58 @@ def test_degree2_kernel_vector():
 def test_degree2_printed_system_matches_assembled_rows():
     out = degree2_system_check()
     assert out["match"]
-    assert out["kernel_dim"] == 1
 
 
 def test_degree1_printed_columns():
     assert degree1_columns_check()
+
+
+def test_printed_form_checks_neither_solve_nor_divide(monkeypatch):
+    cohomology._pairing_rows()      # the one-time build expands in the f basis
+    calls = []
+    rref, inv = linalg.rref, AlgNum.inv
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append("rref") or rref(m))
+    monkeypatch.setattr(AlgNum, "inv", lambda x: calls.append("inv") or inv(x))
+    assert degree1_columns_check()
+    out = degree2_system_check()
+    assert out["match"]
+    assert all(x.is_zero() for row in out["residual"] for x in row)
+    assert calls == []
+
+
+def _patched_rows(monkeypatch, shift, label, var, entry):
+    # a copy of the pairing rows with one entry replaced: entry(old) -> new
+    labels, rows = cohomology._pairing_rows()
+    rows = {s: [row[:] for row in r] for s, r in rows.items()}
+    row = rows[shift][labels.index(label)]
+    k = PATTERN_VARS[shift].index(var)
+    row[k] = entry(row[k])
+    monkeypatch.setattr(cohomology, "_pairing_rows", lambda: (labels, rows))
+    return row
+
+
+def test_an_off_pivot_change_fails_both_printed_checks(monkeypatch):
+    bump = lambda x: x + ONE
+    # row (2, 8) has subject (3, "12"); (5, "23") is one of its other entries
+    _patched_rows(monkeypatch, 2, (2, 8), (5, "23"), bump)
+    assert not degree2_system_check()["match"]
+    assert degree1_columns_check()
+    monkeypatch.undo()
+    _patched_rows(monkeypatch, 1, (6, 8), (1, "12"), bump)
+    assert not degree1_columns_check()
+    assert degree2_system_check()["match"]
+
+
+@pytest.mark.parametrize("whole_row", [False, True], ids=["pivot", "row"])
+def test_a_zero_subject_pivot_is_no_match(monkeypatch, whole_row):
+    # zero pivots, and with them an all-zero row, whose residual row - 0 * printed
+    # vanishes: only the pivot test refuses it
+    row = _patched_rows(monkeypatch, 2, (3, 9), (2, "13"), lambda x: ZERO)
+    if whole_row:
+        row[:] = [ZERO] * len(row)
+    out = degree2_system_check()
+    assert not out["match"]
+    assert all(x.is_zero() for x in out["residual"][3]) == whole_row
 
 
 def test_degree3_kernel_vectors():

@@ -190,6 +190,43 @@ def test_levi_kernel_along_the_cone():
         assert res["kernel_is_radial"]
 
 
+def test_levi_form_neither_solves_nor_divides(monkeypatch):
+    calls = []
+    rref, inv = linalg.rref, AlgNum.inv
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append("rref") or rref(m))
+    monkeypatch.setattr(AlgNum, "inv", lambda x: calls.append("inv") or inv(x))
+    for x in model.PYTHAGOREAN_SAMPLES:
+        assert model.levi_form_tube(x)["kernel_is_radial"]
+    assert calls == []
+
+
+def _solved_levi_verdict(data, p):
+    # the kernel by elimination, and radiality as proportionality of each
+    # kernel direction to the point: all 2x2 minors vanish
+    kernel = linalg.nullspace(data["matrix"])
+    t0, t1 = data["tangent_basis"]
+    radial = len(kernel) == 1
+    for k in kernel:
+        vec = [k[0] * a + k[1] * b for a, b in zip(t0, t1)]
+        radial = radial and all((vec[i] * p[j] - vec[j] * p[i]).is_zero()
+                                for i, j in ((0, 1), (0, 2), (1, 2)))
+    return len(kernel), radial
+
+
+@given(st.integers(1, 6), st.integers(0, 6), st.fractions(Fraction(1, 7), 7),
+       st.booleans(), st.booleans(), st.booleans())
+def test_levi_verdict_equals_the_solved_kernel(m, n, scale, flip1, flip2, swap):
+    # (m^2 - n^2, 2mn, m^2 + n^2) is on the cone for any m, n; scaled, with
+    # the first two coordinates sign-flipped or swapped
+    x1, x2, x3 = (scale * (m * m - n * n), scale * 2 * m * n, scale * (m * m + n * n))
+    x1, x2 = (-x1 if flip1 else x1), (-x2 if flip2 else x2)
+    if swap:
+        x1, x2 = x2, x1
+    data = model.levi_form_tube((x1, x2, x3))
+    p = [AlgNum.of(c) for c in (x1, x2, x3)]
+    assert (data["kernel_dim"], data["kernel_is_radial"]) == _solved_levi_verdict(data, p)
+
+
 def test_levi_form_rejects_bad_points():
     with pytest.raises(ValueError):
         model.levi_form_tube((I, ZERO, ONE))          # not real

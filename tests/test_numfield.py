@@ -244,7 +244,14 @@ def test_elements_are_immutable():
         for attr in ("_n", "_d", "extra"):
             with pytest.raises(AttributeError):
                 setattr(x, attr, (0,) * 8 if attr == "_n" else 1)
+        # del would empty a slot through its descriptor, leaving an element
+        # that no operation can read
+        with pytest.raises(AttributeError, match="immutable"):
+            del x._n
+        with pytest.raises(AttributeError, match="immutable"):
+            del x._d
         assert x.serialize() == text and _canonical(x), name
+        assert x + x == 2 * x and x - x == 0, name
 
 
 def _canonical(x):
