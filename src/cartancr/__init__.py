@@ -2,7 +2,7 @@
 girdled CR structures in dimension five.
 
 The submodules layer bottom-up: `numfield` (the coefficient field
-Q(i, sqrt2, sqrt3)), `linalg` (exact dense linear algebra), `liealg`
+Q(i, sqrt2, sqrt3)), `linalg` (exact sparse linear algebra), `liealg`
 (bases, brackets, grading, Killing form), `cohomology` (codifferential
 kernels and the torsion complement), `structeq` (symbolic coframe
 structure equations and the frame-change check), `model` (the projective

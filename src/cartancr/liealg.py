@@ -14,7 +14,8 @@ element Z is visible block-wise.  Three ordered bases are provided:
 
 Degrees by position are (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2) in every basis.
 
-Matrix arithmetic and its shape rule live in linalg; the bracket is commutator.
+Matrix arithmetic and its shape rule live in linalg; the bracket is
+commutator, which, like expand, takes 5x5 matrices of AlgNum only.
 """
 
 from __future__ import annotations
@@ -77,7 +78,20 @@ EPS = (1, 1, 1, 1, 1, 1, -1, 1, 1, 1)
 
 
 def commutator(a, b):
-    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    """[A, B] = AB - BA of two 5x5 matrices, in one pass over the pairs of
+    nonzero entries: A_ik B_lj adds to (AB)_ij when k == l and subtracts
+    from (BA)_lk when j == i.  Any other shape raises ValueError, an entry
+    that is not an AlgNum TypeError."""
+    a_nz = [(divmod(p, 5), x) for p, x in enumerate(_entries(a)) if not x.is_zero()]
+    b_nz = [(divmod(p, 5), y) for p, y in enumerate(_entries(b)) if not y.is_zero()]
+    out = [[ZERO] * 5 for _ in range(5)]
+    for (i, k), x in a_nz:
+        for (l, j), y in b_nz:
+            if k == l:
+                out[i][j] = out[i][j] + x * y
+            if j == i:
+                out[l][k] = out[l][k] - y * x
+    return out
 
 
 def _entries(m) -> list[AlgNum]:
@@ -126,28 +140,39 @@ class Basis:
 
     @cached_property
     def _expansion(self):
-        """The 25x10 expansion system A (column k is element k), pivot rows
-        P with A[P] invertible, and A[P]^-1, all from one rref of [A^T | 1]:
-        the row operations that turn the pivot columns A[P]^T of A^T into
-        the identity turn the appended identity into (A[P]^T)^-1."""
+        """For the 25x10 expansion system A (column k is element k) and
+        pivot rows P with A[P] invertible: each element's nonzero entries as
+        (flat index, entry) pairs, and each row k of A[P]^-1 as (P[r], entry)
+        pairs over its nonzero entries.  Both come from one rref of
+        [A^T | 1]: the row operations that turn the pivot columns A[P]^T of
+        A^T into the identity turn the appended identity into (A[P]^T)^-1."""
         cols = [_entries(e) for e in self.elements]
         aug = [col + [ONE if k == j else ZERO for k in range(DIM)]
                for j, col in enumerate(cols)]
         red, pivots = linalg.rref(aug)
         if pivots[-1] >= 25:
             raise ValueError(f"{self.kind} basis elements are linearly dependent")
-        inverse = [[red[r][25 + k] for r in range(DIM)] for k in range(DIM)]
-        return linalg.transpose(cols), pivots, inverse
+        inverse = [[(p, red[r][25 + k]) for r, p in enumerate(pivots)
+                    if not red[r][25 + k].is_zero()] for k in range(DIM)]
+        support = [[(j, x) for j, x in enumerate(col) if not x.is_zero()] for col in cols]
+        return support, inverse
 
     def expand(self, matrix) -> list[AlgNum]:
         """Coefficient vector of a 5x5 matrix in this basis (exact; raises
         ValueError off-span or for another shape).  The coefficients come
-        from the 10 pivot entries through a cached inverse, then must
-        reproduce all 25."""
-        rows, pivots, inverse = self._expansion
+        from the 10 pivot entries through a cached inverse; then the sum of
+        coefficient times element, built from the nonzeros, must reproduce
+        all 25 entries."""
+        support, inverse = self._expansion
         target = _entries(matrix)
-        x = linalg.mat_vec(inverse, [target[p] for p in pivots])
-        if linalg.mat_vec(rows, x) != target:
+        x = [sum((y * target[p] for p, y in row if not target[p].is_zero()), ZERO)
+             for row in inverse]
+        rebuilt = [ZERO] * 25
+        for xk, entries in zip(x, support):
+            if not xk.is_zero():
+                for j, e in entries:
+                    rebuilt[j] = rebuilt[j] + xk * e
+        if rebuilt != target:
             raise ValueError(f"matrix is not in the span of the {self.kind} basis")
         return x
 

@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over the AlgNum field, and all matrix arithmetic.
+"""Exact sparse linear algebra over the AlgNum field, and all matrix arithmetic.
 
-Gaussian elimination with exact pivoting; everything stays in
-Q(i, sqrt2, sqrt3), so ranks and kernels are certificates, not estimates.
+Gaussian elimination over sparse rows with exact pivoting; everything stays
+in Q(i, sqrt2, sqrt3), so ranks and kernels are certificates, not estimates.
 Matrices are lists of lists of AlgNum; shapes that do not fit raise ValueError:
-a + b needs equal shapes, a b rows of len(b) and b rectangular, a v rows of len(v).
+a + b needs equal shapes, a b rows of len(b) and b rectangular, a v rows of
+len(v), and rref, rank and nullspace rows of one length.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ def zeros(rows: int, cols: int) -> list[list[AlgNum]]:
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb, strict=True)]
-            for ra, rb in zip(a, b, strict=True)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb, strict=True)]
             for ra, rb in zip(a, b, strict=True)]
 
 
@@ -57,33 +53,53 @@ def mat_vec(a, v):
             for row in a]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def rref(matrix) -> tuple[list[list[AlgNum]], list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Reduced row echelon form; returns (rref matrix, pivot column list).
+
+    The rows are eliminated as sparse dicts {column: nonzero entry}, so the
+    work follows the nonzeros: an all-zero row costs nothing and stays
+    below the others, and only the columns that hold an entry are visited.
+    The pivot of each column is the first row, from the next pivot position
+    on, that holds it."""
+    cols = len(matrix[0]) if matrix else 0
+    if any(len(row) != cols for row in matrix):
+        raise ValueError(f"cannot eliminate rows {[len(r) for r in matrix]}")
+    m = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in matrix]
+    m = [row for row in m if row]
     pivots = []
     r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not m[i][c].is_zero()), None)
+    # a column that starts empty stays empty: a row gains entries only in
+    # the columns of a pivot row
+    for c in sorted(set().union(*m)):
+        pivot = next((i for i in range(r, len(m)) if c in m[i]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = m[r][c].inv()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r] = {k: x * inv for k, x in m[r].items()}
+        for i, row in enumerate(m):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for k, x in prow.items():
+                y = row.get(k)
+                if y is None:
+                    row[k] = -(f * x)
+                else:
+                    y = y - f * x
+                    if y.is_zero():
+                        del row[k]
+                    else:
+                        row[k] = y
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(m):
             break
-    return m, pivots
+    out = [[ZERO] * cols for _ in range(len(matrix))]
+    for dense, row in zip(out, m):
+        for k, x in row.items():
+            dense[k] = x
+    return out, pivots
 
 
 def rank(matrix) -> int:
@@ -96,7 +112,7 @@ def nullspace(matrix) -> list[list[AlgNum]]:
         return []
     cols = len(matrix[0])
     red, pivots = rref(matrix)
-    free = [c for c in range(cols) if c not in pivots]
+    free = sorted(set(range(cols)).difference(pivots))
     basis = []
     for fc in free:
         v = [ZERO] * cols

@@ -43,6 +43,8 @@ Rat = int | Fraction
 
 # the numerators of zero: `n == _ZEROS` is the zero test of the ring operations
 _ZEROS = (0,) * 8
+# the square of each coordinate's basis element 1, sqrt2, sqrt3, sqrt6, i, ..., i*sqrt6
+_SQUARES = (1, 2, 3, 6, -1, -2, -3, -6)
 
 
 class AlgNum:
@@ -207,13 +209,28 @@ class AlgNum:
         return AlgNum._make(n[:4] + tuple(map(neg, n[4:])), self._d)
 
     def inv(self) -> "AlgNum":
-        """Multiplicative inverse by iterated conjugation over the tower.
+        """Multiplicative inverse.
 
-        Multiplying by the seven Galois conjugates (sign flips of i,
-        sqrt2, sqrt3) turns the denominator into the rational field norm.
+        A monomial c*r, r one of 1, sqrt2, sqrt3, sqrt6 or i times one of
+        them, has the inverse r / (c r^2) with r^2 in {+-1, +-2, +-3, +-6}.
+        Any other element goes by iterated conjugation over the tower:
+        multiplying by the seven Galois conjugates (sign flips of i, sqrt2,
+        sqrt3) turns the denominator into the rational field norm.
         """
-        if self.is_zero():
+        n = self._n
+        if n == _ZEROS:
             raise ZeroDivisionError("AlgNum inverse of zero")
+        if n.count(0) == 7:
+            k = next(k for k, c in enumerate(n) if c)
+            # c = n_k/d, so 1/(c r) = d r / (n_k r^2): coordinate k stays the
+            # only one, and gcd(n_k, d) == 1 leaves gcd(d, r^2) to divide out
+            den = n[k] * _SQUARES[k]
+            num = self._d if den > 0 else -self._d
+            den = abs(den)
+            g = gcd(num, den)
+            out = [0] * 8
+            out[k] = num // g
+            return AlgNum._make(tuple(out), den // g)
         num = AlgNum.of(1)
         cur = self
         # after each step cur is invariant under the flips applied so far,

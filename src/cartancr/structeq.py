@@ -325,11 +325,6 @@ class ConstraintTable:
             del out.entries[mate]
         return out
 
-    def state(self, slot):
-        """None if the slot is free, else its kind: 'zero' or 'relation'."""
-        e = self.entries.get(slot)
-        return None if e is None else e["kind"]
-
 
 class Equation:
     """d gen^A = mc + sum of curvature terms over surviving theta pairs."""
@@ -347,16 +342,16 @@ class Equation:
 
 
 def generate_structure_equations(table: ConstraintTable) -> list[Equation]:
+    """One equation per generator: every theta pair starts free, then one
+    pass over the table drops each zero slot and flags each relation."""
     rules = maurer_cartan_forms()
-    out = []
-    for a in range(liealg.DIM):
-        rhs = {}
-        for pair in THETA_PAIRS:
-            state = table.state((a, pair))
-            if state != "zero":
-                rhs[pair] = state is not None
-        out.append(Equation(a, rules[a], rhs))
-    return out
+    rhs = [dict.fromkeys(THETA_PAIRS, False) for _ in range(liealg.DIM)]
+    for (a, pair), entry in table.entries.items():
+        if entry["kind"] == "zero":
+            del rhs[a][pair]
+        else:
+            rhs[a][pair] = True
+    return [Equation(a, rules[a], r) for a, r in enumerate(rhs)]
 
 
 def equations_diff(got: list[Equation], want: list[Equation]) -> list[str]:

@@ -1,5 +1,6 @@
 """so(3,2): bases, frozen bracket tables, grading, Killing form."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from cartancr import linalg, model
 from cartancr.liealg import (CR_CONJ, DEGREES, DIM, EPS, SIGMA, Z_INDEX, Basis,
                              build_basis, commutator, grading_decomposition,
                              killing_form, killing_matrix, membership_so32)
-from cartancr.linalg import mat_add, mat_conj, mat_scale, mat_sub
+from cartancr.linalg import mat_add, mat_conj, mat_scale
 from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF
 
 R3 = AlgNum.sqrt3(Fraction(1, 3))    # 1/sqrt3
@@ -19,6 +20,11 @@ R6 = AlgNum.sqrt6(Fraction(1, 6))    # 1/sqrt6
 # the model's form diag(1, 1, 1, -1, -1) and the algebra's anti-diagonal form
 I32 = [[AlgNum.of((1 if i < 3 else -1) if i == j else 0) for j in range(5)] for i in range(5)]
 CAL_I = [[AlgNum.of(1 if i + j == 4 else 0) for j in range(5)] for i in range(5)]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
 
 # complete bracket table of the f basis, keys 1-based, [f_b, f_c] = sum a-th
 F_TABLE = {
@@ -224,8 +230,8 @@ def test_congruence_relates_the_two_forms():
     # S^T I32 S = CalI, read through T = S^-1 off the chart (column j = T e_j)
     # as T^T CalI T = I32
     unit = [[ONE if i == j else ZERO for i in range(5)] for j in range(5)]
-    t = linalg.transpose([model.to_exchange_chart(e) for e in unit])
-    assert linalg.mat_mul(linalg.transpose(t), linalg.mat_mul(CAL_I, t)) == I32
+    t = _transpose([model.to_exchange_chart(e) for e in unit])
+    assert linalg.mat_mul(_transpose(t), linalg.mat_mul(CAL_I, t)) == I32
 
 
 @pytest.mark.parametrize("kind", [5, None, "F", "CR", "e"])
@@ -253,6 +259,10 @@ def test_matrices_of_the_wrong_shape_raise(row_lengths):
     for kind in ("standard", "cr", "f"):
         with pytest.raises(ValueError, match="5x5"):
             build_basis(kind).expand(bad)
+    square = build_basis("standard").elements[3]
+    for x, y in ((bad, square), (square, bad)):
+        with pytest.raises(ValueError, match="5x5"):
+            commutator(x, y)
     # a model member, so only the matrix can be at fault
     with pytest.raises(ValueError, match="5x5"):
         model.tangency_defects(bad, (ONE, I, ZERO, ONE, -I))
@@ -275,8 +285,9 @@ def test_matrices_of_other_entries_raise_type_error(entry, where):
         with pytest.raises(TypeError, match="AlgNum"):
             build_basis(kind).expand(bad)
     for x, y in ((bad, member), (member, bad)):
-        with pytest.raises(TypeError, match="AlgNum"):
-            killing_form(x, y)
+        for op in (killing_form, commutator):
+            with pytest.raises(TypeError, match="AlgNum"):
+                op(x, y)
     with pytest.raises(TypeError, match="AlgNum"):
         model.tangency_defects(bad, (ONE, I, ZERO, ONE, -I))
 
@@ -291,7 +302,7 @@ def test_elementwise_operations_refuse_other_shapes(row_lengths):
     bad[0][-1] = ONE
     square = build_basis("f").elements[0]
     for a, b in ((square, bad), (bad, square)):
-        for op in (mat_add, mat_sub, commutator):
+        for op in (mat_add, commutator):
             with pytest.raises(ValueError):
                 op(a, b)
         # a b and a applied to b's first column need rows of a with len(b) entries
@@ -359,7 +370,7 @@ def test_expand_round_trips_dense_combinations(kind, coeffs):
 
 def _product_membership(a) -> bool:
     # the defining identity as matrix products: A^T CalI + CalI A == 0
-    lhs = mat_add(linalg.mat_mul(linalg.transpose(a), CAL_I), linalg.mat_mul(CAL_I, a))
+    lhs = mat_add(linalg.mat_mul(_transpose(a), CAL_I), linalg.mat_mul(CAL_I, a))
     return all(x.is_zero() for row in lhs for x in row)
 
 
@@ -397,6 +408,57 @@ def test_membership_matches_the_product_definition(case):
     x, verdict = case
     assert membership_so32(x) == _product_membership(x)
     assert verdict is None or membership_so32(x) is verdict
+
+
+matrices = st.one_of(combinations, membership_cases.map(lambda case: case[0]))
+
+
+@given(matrices, matrices)
+@settings(deadline=None)
+def test_commutator_matches_the_matrix_products(x, y):
+    # the reference: AB - BA from two full products
+    want = mat_add(linalg.mat_mul(x, y), mat_scale(-ONE, linalg.mat_mul(y, x)))
+    got = commutator(x, y)
+    assert [[c.serialize() for c in row] for row in got] == \
+        [[c.serialize() for c in row] for row in want]
+
+
+@functools.cache
+def _mat_vec_expansion(kind):
+    # the reference's cached data: the 25x10 system A as dense rows, the
+    # pivot rows P and A[P]^-1 as a dense 10x10 matrix
+    cols = [[x for row in e for x in row] for e in build_basis(kind).elements]
+    red, pivots = linalg.rref([col + [ONE if k == j else ZERO for k in range(DIM)]
+                               for j, col in enumerate(cols)])
+    inverse = [[red[r][25 + k] for r in range(DIM)] for k in range(DIM)]
+    return _transpose(cols), pivots, inverse
+
+
+def _expand_by_mat_vec(kind, matrix):
+    # the reference: A[P]^-1 times the pivot entries, then A x must give all
+    # 25 entries; None off the span
+    rows, pivots, inverse = _mat_vec_expansion(kind)
+    target = [x for row in matrix for x in row]
+    x = linalg.mat_vec(inverse, [target[p] for p in pivots])
+    return x if linalg.mat_vec(rows, x) == target else None
+
+
+f_combinations = dense_coefficients.map(lambda coeffs: _combination(coeffs, "f"))
+
+
+@given(st.one_of(f_combinations,
+                 st.tuples(f_combinations, positions,
+                           gaussian.filter(lambda c: not c.is_zero())).map(_perturbed)))
+@settings(deadline=None)
+def test_expand_matches_the_mat_vec_reference(matrix):
+    # dense f combinations, and the same with one entry moved off the span
+    want = _expand_by_mat_vec("f", matrix)
+    if want is None:
+        with pytest.raises(ValueError, match="not in the span"):
+            build_basis("f").expand(matrix)
+    else:
+        got = build_basis("f").expand(matrix)
+        assert [x.serialize() for x in got] == [x.serialize() for x in want]
 
 
 small = st.integers(min_value=-3, max_value=3)

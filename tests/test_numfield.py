@@ -44,6 +44,35 @@ def test_multiplicative_inverse(a):
     assert a.inv().inv() == a
 
 
+def _flip(y, signs):
+    # y with its coordinates over (1, sqrt2, sqrt3, sqrt6) times the signs
+    return AlgNum(*(tuple(c * s for c, s in zip(part, signs)) for part in (y.re, y.im)))
+
+
+def _tower_inv(x):
+    # the reference: multiply by the conjugate under i -> -i, then under
+    # sqrt2 -> -sqrt2, then under sqrt3 -> -sqrt3, until the denominator is
+    # the rational norm
+    num, cur = ONE, x
+    for step in (AlgNum.conj, lambda y: _flip(y, (1, -1, 1, -1)),
+                 lambda y: _flip(y, (1, 1, -1, -1))):
+        other = step(cur)
+        num, cur = num * other, cur * other
+    assert cur.is_rational()
+    return num * AlgNum.of(1 / cur.re[0])
+
+
+@pytest.mark.parametrize("k", range(8))
+@given(q=st.fractions(min_value=0, max_value=10**6, max_denominator=10**6).filter(bool))
+def test_monomial_inverse_matches_the_tower_norm(k, q):
+    # q r and -q r for r = 1, sqrt2, sqrt3, sqrt6, i, ..., i sqrt6
+    for x in (_one_coordinate(k, q), _one_coordinate(k, -q)):
+        got = x.inv()
+        assert _canonical(got)
+        assert got.serialize() == _tower_inv(x).serialize()
+        assert sum(1 for c in got.re + got.im if c) == 1
+
+
 @given(algnums, algnums)
 def test_conjugation_is_a_ring_map(a, b):
     assert (a + b).conj() == a.conj() + b.conj()

@@ -43,6 +43,12 @@ def _load_table() -> ConstraintTable:
     return load_constraints((FIXTURES / "constraints.json").read_text())
 
 
+def _state(table, slot):
+    # None if the slot is free, else its kind: "zero" or "relation"
+    e = table.entries.get(slot)
+    return None if e is None else e["kind"]
+
+
 def _load_reference():
     return equations_from_json(
         (FIXTURES / "structure_equations.json").read_text(),
@@ -148,7 +154,7 @@ def test_constraint_conjugation_closure():
     table = ConstraintTable()
     table.add_zero((1, (0, 3)), "test")
     # the conjugate slot appears automatically, marked derived
-    assert table.state((2, (0, 4))) == "zero"
+    assert _state(table, (2, (0, 4))) == "zero"
     assert table.entries[(2, (0, 4))]["primal"] == (1, (0, 3))
     # listing the mate explicitly promotes it to primal
     table.add_zero((2, (0, 4)), "test")
@@ -170,8 +176,8 @@ def test_without_drops_derived_copies():
     table = ConstraintTable()
     table.add_zero((1, (0, 3)), "test")
     reduced = table.without((1, (0, 3)))
-    assert reduced.state((1, (0, 3))) is None
-    assert reduced.state((2, (0, 4))) is None
+    assert _state(reduced, (1, (0, 3))) is None
+    assert _state(reduced, (2, (0, 4))) is None
 
 
 def test_without_refuses_a_slot_that_is_not_primal():
@@ -179,8 +185,8 @@ def test_without_refuses_a_slot_that_is_not_primal():
     # copy not closed under conjugation; dropping a free slot would be a no-op
     table = _load_table()
     derived, free = (2, (1, 2)), (0, (0, 5))
-    assert table.state(derived) == "zero" and derived not in table.primal_slots()
-    assert table.state(free) is None
+    assert _state(table, derived) == "zero" and derived not in table.primal_slots()
+    assert _state(table, free) is None
     for slot in (derived, free):
         with pytest.raises(ValueError, match="not a primal constraint"):
             table.without(slot)
@@ -206,13 +212,42 @@ def test_without_copy_and_original_stay_independent():
     assert table.entries[(1, (0, 3))]["provenance"] == ["a", "e"]
     assert table.primal_slots() == [(1, (0, 3)), (2, (0, 4)), (5, (0, 1))]
     # a promoted mate is primal, so removing its partner keeps it
-    assert table.without((1, (0, 3))).state((2, (0, 4))) == "zero"
+    assert _state(table.without((1, (0, 3))), (2, (0, 4))) == "zero"
 
 
 def test_curvature_term_counts():
     got = generate_structure_equations(_load_table())
     counts = [len(e.rhs) for e in sorted(got, key=lambda e: e.generator)]
     assert counts == [0, 2, 2, 6, 6, 7, 7, 10, 10, 10]
+
+
+def _generated_slot_by_slot(table):
+    # the reference: every (generator, theta pair) slot looked up in turn
+    rules = maurer_cartan_forms()
+    out = []
+    for a in range(10):
+        rhs = {}
+        for pair in THETA_PAIRS:
+            state = _state(table, (a, pair))
+            if state != "zero":
+                rhs[pair] = state is not None
+        out.append(Equation(a, rules[a], rhs))
+    return out
+
+
+def test_generation_matches_the_slot_by_slot_reference():
+    # one pass over the table entries gives the same equations, pair order
+    # included, on the fixture table, each of its 41 weaker tables and the
+    # empty table
+    table = _load_table()
+    tables = [table, ConstraintTable()] + [table.without(s) for s in table.primal_slots()]
+    assert len(tables) == 43
+    for t in tables:
+        got, want = generate_structure_equations(t), _generated_slot_by_slot(t)
+        assert [(e.generator, list(e.rhs.items())) for e in got] == \
+            [(e.generator, list(e.rhs.items())) for e in want]
+        assert all(g.mc is w.mc for g, w in zip(got, want))
+        assert equations_to_json(got) == equations_to_json(want)
 
 
 def test_unconstrained_system_differs():
