@@ -37,7 +37,11 @@ PATTERN_VARS = {
 
 
 def bracket_coords(basis: liealg.Basis, u, v) -> list[AlgNum]:
-    """Bracket of two coordinate vectors via the nonzero structure constants."""
+    """Bracket of two coordinate vectors via the nonzero structure constants;
+    a vector of another length than DIM raises ValueError."""
+    if len(u) != liealg.DIM or len(v) != liealg.DIM:
+        raise ValueError(f"bracket_coords needs two {liealg.DIM}-entry vectors, "
+                         f"got lengths {len(u)} and {len(v)}")
     out = [ZERO] * liealg.DIM
     sc = basis.structure_constants()
     v_nz = [(j, y) for j, y in enumerate(v) if not y.is_zero()]
@@ -56,7 +60,9 @@ def bracket_coords(basis: liealg.Basis, u, v) -> list[AlgNum]:
 def spencer_value(basis: liealg.Basis, cochain: dict, i: int, j: int) -> list[AlgNum]:
     """del A(x_i, x_j) = [x_i, A x_j] - [x_j, A x_i] - A([x_i, x_j]) for the
     cochain A = {source: {target: value}} (0-based indices in the basis),
-    which is zero off its keys.  Antisymmetric in (i, j), so zero at i == j."""
+    which is zero off its keys.  Antisymmetric in (i, j), so zero at i == j.
+    An index, cochain key or target outside 0..DIM-1 raises ValueError."""
+    liealg.check_index(i, j, *cochain, *(t for img in cochain.values() for t in img))
     unit = lambda k: [ONE if t == k else ZERO for t in range(liealg.DIM)]
     image = lambda k: [cochain.get(k, {}).get(t, ZERO) for t in range(liealg.DIM)]
     out = [x - y for x, y in zip(bracket_coords(basis, unit(i), image(j)),
@@ -267,15 +273,6 @@ def l1_boundary_components(gen: dict):
     return c1, v[1], v[2]
 
 
-_MINUS_HALF_I = AlgNum.i(Fraction(-1, 2))
-
-
-def _re_im(x: AlgNum) -> tuple[AlgNum, AlgNum]:
-    """Re x = (x + conj x)/2 and Im x = (x - conj x)(-i/2), as field elements."""
-    c = x.conj()
-    return (x + c) * HALF, (x - c) * _MINUS_HALF_I
-
-
 def torsion_complement() -> dict:
     """Span of the del-images of the l^1 generators inside the rank-4
     torsion space, with coordinates (Re c1, Im c1, Re c2, Im c2)."""
@@ -283,7 +280,7 @@ def torsion_complement() -> dict:
     comps = [l1_boundary_components(g) for g in gens]
     rows = []
     for c1, c2, _ in comps:
-        rows.append([*_re_im(c1), *_re_im(c2)])
+        rows.append([c1.real_part(), c1.imag_part(), c2.real_part(), c2.imag_part()])
     comp = linalg.nullspace(rows)   # vectors orthogonal to every image row
     return {
         "matrix": rows,

@@ -77,6 +77,13 @@ SIGMA = (9, 7, 8, 3, 4, 5, 6, 1, 2, 0)
 EPS = (1, 1, 1, 1, 1, 1, -1, 1, 1, 1)
 
 
+def check_index(*indices) -> None:
+    """ValueError naming the first index that is not a basis position 0..DIM-1."""
+    for k in indices:
+        if not 0 <= k < DIM:
+            raise ValueError(f"basis index {k!r} is outside 0..{DIM - 1}")
+
+
 def commutator(a, b):
     """[A, B] = AB - BA of two 5x5 matrices, in one pass over the pairs of
     nonzero entries: A_ik B_lj adds to (AB)_ij when k == l and subtracts
@@ -195,7 +202,8 @@ class Basis:
         return sc
 
     def c(self, a: int, b: int, c: int) -> AlgNum:
-        """Structure constant c^a_{bc}, antisymmetric in (b, c)."""
+        """Structure constant c^a_{bc}, antisymmetric in (b, c); ValueError off 0..DIM-1."""
+        check_index(a, b, c)
         for k, x in self.structure_constants().get((b, c), ()):
             if k == a:
                 return x
@@ -224,7 +232,7 @@ def grading_decomposition() -> dict:
     """
     sc = build_basis("f").structure_constants()
     for b, deg in enumerate(DEGREES):
-        want = ((b, deg * _F_SCALES[Z_INDEX]),) if deg else None
+        want = ((b, AlgNum.of(deg) * _F_SCALES[Z_INDEX]),) if deg else None
         if sc.get((Z_INDEX, b)) != want:
             raise ArithmeticError(f"basis element {b} is not an ad-Z eigenvector")
     return {
@@ -241,7 +249,7 @@ def killing_form(x_matrix, y_matrix) -> AlgNum:
     coordinates of X and Y read by Basis.expand, which raises on bad input."""
     f = build_basis("f")
     x, y = f.expand(x_matrix), f.expand(y_matrix)
-    return sum((x[a] * y[b] * e for a, (b, e) in enumerate(zip(SIGMA, EPS))), ZERO)
+    return sum((x[a] * y[b] * AlgNum.of(e) for a, (b, e) in enumerate(zip(SIGMA, EPS))), ZERO)
 
 
 def killing_matrix(basis: Basis):

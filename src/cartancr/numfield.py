@@ -12,8 +12,10 @@ lowest terms, so each element has exactly one.
 The ring operations work on the integers alone and do only the work their
 operands need; since the form is unique, every path stores the same
 result.  They dispatch in this order:
-  1. an operand that is not an AlgNum is read as one if it is an int or
-     a Fraction, and is otherwise NotImplemented;
+  1. an operand that is not an AlgNum is NotImplemented, so `x + 1`
+     raises TypeError: ints and Fractions enter the field only through
+     AlgNum.of and the named constructors (i, sqrt2, sqrt3, sqrt6,
+     from_complex_rat), and a sum() over elements needs start=ZERO;
   2. a zero operand costs no arithmetic: the result is an operand or its
      negative;
   3. a product with a rational factor scales the other factor's eight
@@ -22,6 +24,9 @@ result.  They dispatch in this order:
      one gcd reduction, or none when that denominator is 1;
   5. anything else is the full formula (64 products, or a cross-multiplied
      sum), then one gcd reduction.
+
+Equality alone reads an int or a Fraction by value, as Decimal
+does: AlgNum.of(1) == 1, and the two hash alike.
 
 Everything is exact: no float occurs; a float oracle reads `re` and `im`.
 """
@@ -93,18 +98,19 @@ class AlgNum:
 
     @property
     def re(self) -> tuple:
-        return _fractions(self._n[:4], self._d)
+        """Re x as four Fractions over (1, sqrt2, sqrt3, sqrt6); real_part() is an AlgNum."""
+        return tuple(Fraction(c, self._d) for c in self._n[:4])
 
     @property
     def im(self) -> tuple:
-        return _fractions(self._n[4:], self._d)
+        """Im x as four Fractions over (1, sqrt2, sqrt3, sqrt6); imag_part() is an AlgNum."""
+        return tuple(Fraction(c, self._d) for c in self._n[4:])
 
     # -- constructors ------------------------------------------------
     @staticmethod
     def of(q: Rat) -> "AlgNum":
-        if isinstance(q, int):      # int() stores a bool as 0 or 1
-            return AlgNum._make((int(q), 0, 0, 0, 0, 0, 0, 0), 1)
-        if isinstance(q, Fraction):
+        # the numerator of a bool is the int 0 or 1
+        if isinstance(q, (int, Fraction)):
             return AlgNum._make((q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator)
         return AlgNum((q, 0, 0, 0))     # raises the constructor's TypeError
 
@@ -141,9 +147,7 @@ class AlgNum:
     # -- ring ops ----------------------------------------------------
     def __add__(self, other) -> "AlgNum":
         if type(other) is not AlgNum:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return other
+            return NotImplemented
         return _combine(self, other, 1)
 
     __radd__ = __add__
@@ -153,20 +157,12 @@ class AlgNum:
 
     def __sub__(self, other) -> "AlgNum":
         if type(other) is not AlgNum:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return other
+            return NotImplemented
         return _combine(self, other, -1)
-
-    def __rsub__(self, other) -> "AlgNum":
-        other = _coerce(other)
-        return other if other is NotImplemented else _combine(other, self, -1)
 
     def __mul__(self, other) -> "AlgNum":
         if type(other) is not AlgNum:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return other
+            return NotImplemented
         a, b = self._n, other._n
         # a zero factor is the product: zero has one stored form
         if a == _ZEROS:
@@ -207,6 +203,14 @@ class AlgNum:
         """Complex conjugation (negates the imaginary coordinates)."""
         n = self._n
         return AlgNum._make(n[:4] + tuple(map(neg, n[4:])), self._d)
+
+    def real_part(self) -> "AlgNum":
+        """Re x = (x + conj x)/2 as an AlgNum; `re` gives its four Fractions."""
+        return (self + self.conj()) * HALF
+
+    def imag_part(self) -> "AlgNum":
+        """Im x = (x - conj x)(-i/2) as an AlgNum; `im` gives its four Fractions."""
+        return (self - self.conj()) * _MINUS_HALF_I
 
     def inv(self) -> "AlgNum":
         """Multiplicative inverse.
@@ -249,21 +253,16 @@ class AlgNum:
 
     def __truediv__(self, other) -> "AlgNum":
         if type(other) is not AlgNum:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return other
+            return NotImplemented
         return self * other.inv()
-
-    def __rtruediv__(self, other) -> "AlgNum":
-        other = _coerce(other)
-        return other if other is NotImplemented else other * self.inv()
 
     # -- comparisons / hashing ---------------------------------------
     def __eq__(self, other) -> bool:
         if type(other) is not AlgNum:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return other
+            # an int or Fraction compares by value, as Decimal does
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = AlgNum.of(other)
         return self._d == other._d and self._n == other._n
 
     def __hash__(self):
@@ -425,11 +424,6 @@ def _combine(x: AlgNum, y: AlgNum, sign: int) -> AlgNum:
     return _reduced([a * d2 + b * e for a, b in zip(n1, n2)], d1 * d2)
 
 
-def _fractions(n: tuple, d: int) -> tuple:
-    """Four numerators over the denominator d, as Fractions."""
-    return tuple(Fraction(c, d) for c in n)
-
-
 def _reduced(n, d: int) -> AlgNum:
     """The element n/d, n eight integers, in lowest terms (one gcd over
     all nine integers)."""
@@ -437,14 +431,6 @@ def _reduced(n, d: int) -> AlgNum:
     if g != 1:
         return AlgNum._make(tuple([c // g for c in n]), d // g)
     return AlgNum._make(tuple(n), d)
-
-
-def _coerce(x):
-    """An int or Fraction as an AlgNum, anything else NotImplemented; the
-    ring operations call it only for an operand that is not an AlgNum."""
-    if isinstance(x, (int, Fraction)):
-        return AlgNum.of(x)
-    return NotImplemented
 
 
 def _flip_r2(x: AlgNum) -> AlgNum:
@@ -464,3 +450,4 @@ ONE = AlgNum.of(1)
 I = AlgNum.i()
 SQRT2 = AlgNum.sqrt2()
 HALF = AlgNum.of(Fraction(1, 2))
+_MINUS_HALF_I = AlgNum.i(Fraction(-1, 2))

@@ -173,6 +173,42 @@ def test_exit_code_tracks_failures(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _failed(report) -> dict:
+    return {c["id"]: c["detail"] for c in report["checks"] if not c["passed"]}
+
+
+def test_one_wrong_killing_entry_fails_the_three_killing_checks(monkeypatch):
+    # K(f1, f10) = 1 read as 2 breaks the signed permutation form, the
+    # trace identity and the hat pairing, and nothing else
+    real = liealg.killing_matrix
+
+    def wrong(basis):
+        km = [row[:] for row in real(basis)]
+        km[0][9] = km[0][9] + km[0][9]
+        return km
+
+    monkeypatch.setattr(liealg, "killing_matrix", wrong)
+    assert set(_failed(cli.run_suite("killing", FIXTURES))) == {
+        "killing.matrix", "killing.trace-identity", "killing.hat-pairing"}
+
+
+def test_a_blind_generator_fails_the_negative_control_naming_the_slot(monkeypatch):
+    # a generator that ignores the removal of one primal slot leaves the
+    # system unchanged for that slot alone
+    real = structeq.generate_structure_equations
+    table = structeq.load_constraints((FIXTURES / "constraints.json").read_text())
+    slot = table.primal_slots()[5]
+
+    def blind(t):
+        return real(table if slot not in t.entries else t)
+
+    monkeypatch.setattr(structeq, "generate_structure_equations", blind)
+    failed = _failed(cli.run_suite("structure-equations", FIXTURES))
+    assert set(failed) == {"structeq.negative-control"}
+    assert failed["structeq.negative-control"] == (
+        "removal leaves the system unchanged for " + structeq.symbol_name(slot))
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         cli.main(["--suite", "nonsense"])

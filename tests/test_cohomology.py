@@ -56,6 +56,25 @@ def test_spencer_differential_is_antisymmetric():
             assert all(x == -y for x, y in zip(lhs, rhs))
 
 
+@pytest.mark.parametrize("i", [10, -1])
+def test_spencer_value_rejects_a_leg_outside_the_basis(i):
+    with pytest.raises(ValueError, match=f"index {i} "):
+        spencer_value(liealg.build_basis("f"), {0: {1: ONE}}, i, 1)
+
+
+@pytest.mark.parametrize("cochain", [{0: {11: ONE}}, {11: {0: ONE}}],
+                         ids=["target", "source"])
+def test_spencer_value_rejects_a_cochain_index_outside_the_basis(cochain):
+    # an out-of-range target or source was dropped without a word
+    with pytest.raises(ValueError, match="index 11 "):
+        spencer_value(liealg.build_basis("f"), cochain, 0, 1)
+
+
+def test_bracket_coords_rejects_a_short_vector():
+    with pytest.raises(ValueError, match="lengths 3 and 10"):
+        bracket_coords(liealg.build_basis("f"), [ONE] * 3, [ONE] * 10)
+
+
 def test_bracket_coords_agrees_with_structure_constants():
     basis = liealg.build_basis("f")
     u = [ZERO] * 10

@@ -1,7 +1,9 @@
-"""Every demo script runs to completion and prints exactly its pinned output."""
+"""Every demo script runs to completion and prints exactly its pinned
+output, and every python block of README.md runs."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +37,11 @@ def test_demo_runs(demo, digest):
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -240,6 +240,13 @@ def test_unknown_basis_kinds_raise(kind):
         build_basis(kind)
 
 
+@pytest.mark.parametrize("indices", [(11, 0, 1), (0, -1, 1), (0, 1, 10)])
+def test_structure_constant_rejects_an_index_outside_the_basis(indices):
+    bad = next(k for k in indices if not 0 <= k < DIM)
+    with pytest.raises(ValueError, match=f"index {bad} "):
+        build_basis("f").c(*indices)
+
+
 def test_expand_rejects_off_span():
     basis = build_basis("standard")
     bad = linalg.zeros(5, 5)

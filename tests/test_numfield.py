@@ -44,6 +44,27 @@ def test_multiplicative_inverse(a):
     assert a.inv().inv() == a
 
 
+def test_zero_has_no_inverse():
+    with pytest.raises(ZeroDivisionError):
+        ZERO.inv()
+    with pytest.raises(ZeroDivisionError):
+        ONE / ZERO
+
+
+@pytest.mark.parametrize("re, im", [((1, 2, 3), (0, 0, 0, 0)), ((0, 0, 0, 0), (1,) * 5)])
+def test_constructor_needs_four_coordinates_per_part(re, im):
+    with pytest.raises(ValueError, match="4 real and 4 imaginary"):
+        AlgNum(re, im)
+
+
+@given(algnums)
+def test_real_and_imaginary_parts_are_field_elements(a):
+    re, im = a.real_part(), a.imag_part()
+    assert re == AlgNum(a.re) and im == AlgNum(a.im)
+    assert re.is_real() and im.is_real()
+    assert a == re + I * im
+
+
 def _flip(y, signs):
     # y with its coordinates over (1, sqrt2, sqrt3, sqrt6) times the signs
     return AlgNum(*(tuple(c * s for c, s in zip(part, signs)) for part in (y.re, y.im)))
@@ -115,13 +136,13 @@ def _fraction_coordinates(x):
 def test_ring_operations_return_fraction_coordinates(a, b, q):
     # the ring operations build results with the trusted constructor, which
     # stores its tuples as given: every coordinate must already be a Fraction
-    za, zb = _complex(a), _complex(b)
+    za, zb, p = _complex(a), _complex(b), AlgNum.of(q)
     tol = 1e-12 * (1.0 + _size(a)) * (1.0 + _size(b)) * (1.0 + abs(q))
     expected = {
         "a + b": (a + b, za + zb), "a - b": (a - b, za - zb), "-a": (-a, -za),
         "a * b": (a * b, za * zb), "conj a": (a.conj(), za.conjugate()),
-        "a + q": (a + q, za + q), "q + a": (q + a, q + za),
-        "q - a": (q - a, q - za), "q * a": (q * a, q * za),
+        "a + q": (a + p, za + q), "q + a": (p + a, q + za),
+        "q - a": (p - a, q - za), "q * a": (p * a, q * za),
     }
     for name, (got, want) in expected.items():
         assert _fraction_coordinates(got), name
@@ -245,28 +266,37 @@ def test_sums_and_differences_match_the_fraction_reference(x, y):
 @example(AlgNum.of(5), 5)
 @example(AlgNum.of(Fraction(1, 2)), 0)
 def test_int_and_fraction_operands_on_either_side(x, q):
-    rx, rq = _ref(x), (Fraction(q),) + (Fraction(0),) * 7
-    for got, want in ((x + q, tuple(a + b for a, b in zip(rx, rq))),
-                      (q + x, tuple(a + b for a, b in zip(rx, rq))),
-                      (x - q, tuple(a - b for a, b in zip(rx, rq))),
-                      (q - x, tuple(b - a for a, b in zip(rx, rq))),
-                      (x * q, tuple(a * q for a in rx)),
-                      (q * x, tuple(a * q for a in rx))):
+    # a rational enters the field through AlgNum.of; as a bare operand of
+    # + - * / it raises TypeError on either side, while == reads its value
+    p, rx, rq = AlgNum.of(q), _ref(x), (Fraction(q),) + (Fraction(0),) * 7
+    for got, want in ((x + p, tuple(a + b for a, b in zip(rx, rq))),
+                      (p + x, tuple(a + b for a, b in zip(rx, rq))),
+                      (x - p, tuple(a - b for a, b in zip(rx, rq))),
+                      (p - x, tuple(b - a for a, b in zip(rx, rq))),
+                      (x * p, tuple(a * q for a in rx)),
+                      (p * x, tuple(a * q for a in rx))):
         assert _canonical(got)
         assert _ref(got) == want
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, q)
+        with pytest.raises(TypeError):
+            op(q, x)
     assert (x == q) == (q == x) == (rx == rq)
+    assert p == q and q == p and hash(p) == hash(q)
 
 
 def test_elements_are_immutable():
     a = AlgNum((1, Fraction(1, 2), 0, 0), (0, 0, 3, 0))
     b = AlgNum.sqrt2(Fraction(3, 4))
     m, n = AlgNum((2, 0, -1, 0)), AlgNum((0, 5, 0, 0), (1, 0, 0, 0))
+    two = AlgNum.of(2)
     values = {
         "constructed": a, "of": AlgNum.of(Fraction(2, 3)), "a + b": a + b,
-        "a - b": a - b, "m + n": m + n, "m - n": m - n, "a + 1": a + 1,
-        "1 - a": 1 - a, "-a": -a, "a * b": a * b, "a * 2": a * 2,
-        "2 * a": 2 * a, "a * 0": a * 0, "a + 0": a + 0, "a - a": a - a,
-        "a / b": a / b, "1 / a": 1 / a, "inv a": a.inv(), "conj a": a.conj(),
+        "a - b": a - b, "m + n": m + n, "m - n": m - n, "a + 1": a + ONE,
+        "1 - a": ONE - a, "-a": -a, "a * b": a * b, "a * 2": a * two,
+        "2 * a": two * a, "a * 0": a * ZERO, "a + 0": a + ZERO, "a - a": a - a,
+        "a / b": a / b, "1 / a": ONE / a, "inv a": a.inv(), "conj a": a.conj(),
     }
     for name, x in values.items():
         text = x.serialize()
@@ -280,7 +310,7 @@ def test_elements_are_immutable():
         with pytest.raises(AttributeError, match="immutable"):
             del x._d
         assert x.serialize() == text and _canonical(x), name
-        assert x + x == 2 * x and x - x == 0, name
+        assert x + x == two * x and x - x == 0, name
 
 
 def _canonical(x):
@@ -316,11 +346,10 @@ def test_ring_operations_match_fraction_reference(a, b):
         "a / b": (a / b, _ref_mul(ra, inv_b)),
         # a zero operand skips the arithmetic: the result is an operand,
         # its negative, or zero
-        "a * 0": (a * 0, zero),
+        "a * 0": (a * ZERO, zero),
         "0 * a": (ZERO * a, zero),
         "a - 0": (a - ZERO, ra),
-        "0 - a": (0 - a, tuple(-x for x in ra)),
-        "ZERO - a": (ZERO - a, tuple(-x for x in ra)),
+        "0 - a": (ZERO - a, tuple(-x for x in ra)),
         "a - a": (a - a, zero),
         "b - b": (b - b, zero),
     }
@@ -343,7 +372,7 @@ def test_equal_values_from_different_paths_are_equal_and_hash_alike(a, b):
 
 @given(wide_algnums)
 def test_adding_zero_returns_the_other_operand(a):
-    for got in (a + 0, 0 + a, ZERO + a, a + ZERO, a + Fraction(0), a - 0):
+    for got in (ZERO + a, a + ZERO, a + AlgNum.of(Fraction(0)), a - ZERO):
         assert got == a and hash(got) == hash(a)
 
 
@@ -394,9 +423,9 @@ def test_exact_real_sign():
 
 
 @given(st.tuples(*[st.integers(-100, 100)] * 4).map(AlgNum))
-@example(99 - 70 * SQRT2)
-@example(49 - 20 * SQRT6)
-@example((SQRT2 + SQRT3) * (SQRT2 + SQRT3) - 5 - 2 * SQRT6)
+@example(AlgNum.of(99) - AlgNum.sqrt2(70))
+@example(AlgNum.of(49) - AlgNum.sqrt6(20))
+@example((SQRT2 + SQRT3) * (SQRT2 + SQRT3) - AlgNum.of(5) - AlgNum.sqrt6(2))
 def test_real_sign_matches_float_sign(x):
     # a nonzero element with integer coordinates in [-100, 100] has a
     # nonzero integer norm and conjugates below 660, so its absolute value

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from cartancr import cli
 from cartancr.structeq import (CONJ_GEN, GENERATOR_LATEX, GENERATOR_NAMES,
                                S_SYMBOL, T_SYMBOL, THETA_PAIRS, ConstraintTable,
-                               Equation, Form, PolyCoeff, _conj_slot,
+                               Equation, Form, PolyCoeff, _conj_slot, _term_latex,
                                constraints_to_json, constraints_to_latex,
                                equations_diff, equations_from_json,
                                equations_to_json, equations_to_latex,
@@ -285,6 +285,23 @@ def test_equations_diff_reports_each_kind_of_difference():
     assert equations_diff(got, short) == [f"gen 7: extra term at {pair}"]
 
 
+def test_equations_diff_reports_an_unexpected_and_a_missing_generator():
+    got = generate_structure_equations(_load_table())
+    assert equations_diff(got, got[:9]) == ["unexpected equation for generator 9"]
+    assert equations_diff(got[1:], got) == ["missing equation for generator 0"]
+
+
+def test_a_form_times_zero_is_empty():
+    f = Form({(0,): PolyCoeff.const(ONE), (1, 2): PolyCoeff.symbol(T_SYMBOL)})
+    assert (f * ZERO).terms == {} and (f * ZERO).is_zero()
+
+
+def test_a_two_term_coefficient_is_bracketed():
+    assert _term_latex(ONE + I, "x") == r" + \left(1+i\right)x"
+    assert _term_latex(-ONE - I, "x") == r" + \left(-1-i\right)x"
+    assert _term_latex(-I, "x") == " - ix"
+
+
 def test_reality_involution():
     got = {e.generator: e for e in generate_structure_equations(_load_table())}
     for g in range(10):
@@ -337,6 +354,11 @@ def test_algnum_latex():
     assert algnum_latex(AlgNum.i(-2)) == "-2i"
     assert algnum_latex(AlgNum.of(Fraction(3, 4))) == r"\frac{3}{4}"
     assert algnum_latex(ZERO) == "0"
+    # an imaginary part over two radicals is bracketed after the i
+    assert algnum_latex(I * (AlgNum.sqrt2(2) + AlgNum.sqrt3(Fraction(-1, 2)))) == \
+        r"i\left(2\sqrt{2}-\frac{1}{2}\sqrt{3}\right)"
+    assert algnum_latex(ONE + I * (AlgNum.sqrt2(3) + AlgNum.sqrt6(-2))) == \
+        r"1+i\left(3\sqrt{2}-2\sqrt{6}\right)"
 
 
 def test_equations_latex_fragments():
