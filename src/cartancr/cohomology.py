@@ -65,8 +65,9 @@ def spencer_value(basis: liealg.Basis, cochain: dict, i: int, j: int) -> list[Al
     liealg.check_index(i, j, *cochain, *(t for img in cochain.values() for t in img))
     unit = lambda k: [ONE if t == k else ZERO for t in range(liealg.DIM)]
     image = lambda k: [cochain.get(k, {}).get(t, ZERO) for t in range(liealg.DIM)]
-    out = [x - y for x, y in zip(bracket_coords(basis, unit(i), image(j)),
-                                 bracket_coords(basis, unit(j), image(i)))]
+    # most entries of the second bracket are zero, and subtract nothing
+    out = [x if y.is_zero() else x - y for x, y in zip(
+        bracket_coords(basis, unit(i), image(j)), bracket_coords(basis, unit(j), image(i)))]
     for s, img in cochain.items():
         c = basis.c(s, i, j)
         if not c.is_zero():

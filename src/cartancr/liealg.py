@@ -256,13 +256,15 @@ def killing_matrix(basis: Basis):
     """K(x_a, x_b) = trace(ad x_a o ad x_b), with (ad x_k)^a_b = c^a_{kb}
     read off the basis's own nonzero structure constants."""
     sc = basis.structure_constants()
-    # ads[k][(a, b)] = c^a_{kb}, nonzero entries only
+    # ads[k][(a, b)] = c^a_{kb} and adt[k][(b, a)] = c^a_{kb}, nonzero entries only
     ads = [{(a, b): c for b in range(DIM) for a, c in sc.get((k, b), ())}
            for k in range(DIM)]
+    adt = [{(b, a): c for (a, b), c in ad.items()} for ad in ads]
     out = linalg.zeros(DIM, DIM)
     for a in range(DIM):
         for b in range(a, DIM):
-            # trace(ad x_a ad x_b) over the nonzero entries
-            out[a][b] = out[b][a] = sum((x * ads[b][(j, i)] for (i, j), x in ads[a].items()
-                                         if (j, i) in ads[b]), ZERO)
+            # trace(ad x_a ad x_b) = sum of (ad x_a)_ij (ad x_b)_ji over the
+            # keys where both are nonzero
+            x, y = ads[a], adt[b]
+            out[a][b] = out[b][a] = sum((x[k] * y[k] for k in x.keys() & y.keys()), ZERO)
     return out

@@ -41,7 +41,9 @@ def mat_mul(a, b):
                 continue
             for j in range(cols):
                 if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + aik * b[k][j]
+                    # the first term into an entry is the entry: no addition to ZERO
+                    p = aik * b[k][j]
+                    out[i][j] = p if out[i][j] is ZERO else out[i][j] + p
     return out
 
 

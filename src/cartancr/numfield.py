@@ -18,11 +18,15 @@ result.  They dispatch in this order:
      from_complex_rat), and a sum() over elements needs start=ZERO;
   2. a zero operand costs no arithmetic: the result is an operand or its
      negative;
-  3. a product with a rational factor scales the other factor's eight
+  3. two monomials (one nonzero coordinate each) multiply by the table
+     _MONO, and add in their one coordinate when it is the same: two
+     integer products and one two-argument gcd (in two coordinates
+     otherwise, with no pass over all eight);
+  4. a product with a rational factor scales the other factor's eight
      numerators (8 integer products, not 64), then one gcd reduction;
-  4. a sum or difference over one denominator adds the numerators, then
+  5. a sum or difference over one denominator adds the numerators, then
      one gcd reduction, or none when that denominator is 1;
-  5. anything else is the full formula (64 products, or a cross-multiplied
+  6. anything else is the full formula (64 products, or a cross-multiplied
      sum), then one gcd reduction.
 
 Equality alone reads an int or a Fraction by value, as Decimal
@@ -48,8 +52,14 @@ Rat = int | Fraction
 
 # the numerators of zero: `n == _ZEROS` is the zero test of the ring operations
 _ZEROS = (0,) * 8
-# the square of each coordinate's basis element 1, sqrt2, sqrt3, sqrt6, i, ..., i*sqrt6
-_SQUARES = (1, 2, 3, 6, -1, -2, -3, -6)
+# the product of the coordinates' basis elements 1, sqrt2, sqrt3, sqrt6, i,
+# ..., i*sqrt6: _MONO[j][k] = (m, f) when e_j e_k = f e_m, from
+# sqrt(p) sqrt(q) = gcd(p, q) sqrt(pq / gcd(p, q)^2) and i^2 = -1
+_RADICANDS = (1, 2, 3, 6)
+_MONO = tuple(tuple((_RADICANDS.index(p * q // gcd(p, q) ** 2) + 4 * ((j > 3) != (k > 3)),
+                     -gcd(p, q) if j > 3 and k > 3 else gcd(p, q))
+                    for k, q in enumerate(_RADICANDS * 2))
+              for j, p in enumerate(_RADICANDS * 2))
 
 
 class AlgNum:
@@ -171,6 +181,13 @@ class AlgNum:
             return other
         p0, p1, p2, p3, q0, q1, q2, q3 = a
         r0, r1, r2, r3, s0, s1, s2, s3 = b
+        # two monomials, each with its one nonzero numerator as its sum; a
+        # monomial has a zero among any two coordinates, so dense operands
+        # skip the counts
+        if not (p0 and p1 or r0 and r1) and a.count(0) == 7 and b.count(0) == 7:
+            x, y = sum(a), sum(b)
+            m, f = _MONO[a.index(x)][b.index(y)]
+            return _monomial(m, x * y * f, self._d * other._d)
         # a rational factor scales the other factor's numerators
         if not (r1 or r2 or r3 or s0 or s1 or s2 or s3):
             return _reduced([r0 * c for c in a], self._d * other._d)
@@ -225,16 +242,12 @@ class AlgNum:
         if n == _ZEROS:
             raise ZeroDivisionError("AlgNum inverse of zero")
         if n.count(0) == 7:
-            k = next(k for k, c in enumerate(n) if c)
-            # c = n_k/d, so 1/(c r) = d r / (n_k r^2): coordinate k stays the
-            # only one, and gcd(n_k, d) == 1 leaves gcd(d, r^2) to divide out
-            den = n[k] * _SQUARES[k]
-            num = self._d if den > 0 else -self._d
-            den = abs(den)
-            g = gcd(num, den)
-            out = [0] * 8
-            out[k] = num // g
-            return AlgNum._make(tuple(out), den // g)
+            c = sum(n)
+            k = n.index(c)
+            # c/d r has the inverse d r / (c r^2): coordinate k stays the
+            # only one, and r^2 is the factor of e_k e_k = r^2 e_0
+            den = c * _MONO[k][k][1]
+            return _monomial(k, self._d if den > 0 else -self._d, abs(den))
         num = AlgNum.of(1)
         cur = self
         # after each step cur is invariant under the flips applied so far,
@@ -343,11 +356,14 @@ _set_n = AlgNum._n.__set__
 _set_d = AlgNum._d.__set__
 
 
-def _latex_rat(q: Fraction, lead: bool) -> str:
+def _latex_rat(q: Fraction, lead: bool, rad: str) -> str:
+    """q times the radical rad, signed unless it leads; no unit q before a radical."""
     sign = "-" if q < 0 else ("" if lead else "+")
     q = abs(q)
+    if q == 1 and rad:
+        return sign + rad
     body = f"\\frac{{{q.numerator}}}{{{q.denominator}}}" if q.denominator != 1 else str(q.numerator)
-    return sign + body
+    return sign + body + rad
 
 
 def algnum_latex(x: AlgNum) -> str:
@@ -359,7 +375,7 @@ def algnum_latex(x: AlgNum) -> str:
     radicals = ("", r"\sqrt{2}", r"\sqrt{3}", r"\sqrt{6}")
     for q, rad in zip(x.re, radicals):
         if q:
-            parts.append(_latex_rat(q, not parts) + rad)
+            parts.append(_latex_rat(q, not parts, rad))
     im = [(q, rad) for q, rad in zip(x.im, radicals) if q]
     if im:
         if len(im) == 1 and not im[0][1]:
@@ -374,7 +390,7 @@ def algnum_latex(x: AlgNum) -> str:
                 num = "" if q.numerator == 1 else str(q.numerator)
                 parts.append(sign + f"\\frac{{{num}i}}{{{q.denominator}}}")
         else:
-            inner = "".join(_latex_rat(q, not k) + rad for k, (q, rad) in enumerate(im))
+            inner = "".join(_latex_rat(q, not k, rad) for k, (q, rad) in enumerate(im))
             parts.append(("+" if parts else "") + f"i\\left({inner}\\right)")
     return "".join(parts) or "0"
 
@@ -407,9 +423,9 @@ def _surd_sign(p: int, q: int, norm: int) -> int:
 
 def _combine(x: AlgNum, y: AlgNum, sign: int) -> AlgNum:
     """x + sign * y for sign +1 or -1.  A zero operand costs no arithmetic;
-    over one denominator the numerators add, with no gcd when it is 1 (the
-    sum of integers is in lowest terms); anything else is one
-    cross-multiplied sum."""
+    two monomials add in their one or two coordinates; over one denominator
+    the numerators add, with no gcd when it is 1 (the sum of integers is in
+    lowest terms); anything else is one cross-multiplied sum."""
     n2 = y._n
     if n2 == _ZEROS:
         return x
@@ -417,11 +433,29 @@ def _combine(x: AlgNum, y: AlgNum, sign: int) -> AlgNum:
     if n1 == _ZEROS:
         return y if sign > 0 else -y
     d1, d2 = x._d, y._d
+    # as in __mul__, a dense operand skips the counts
+    if not (n1[0] and n1[1]) and n1.count(0) == 7 and n2.count(0) == 7:
+        c1, c2 = sum(n1), sum(n2)
+        j, k = n1.index(c1), n2.index(c2)
+        if j == k:
+            c = c1 * d2 + sign * c2 * d1
+            return _monomial(k, c, d1 * d2) if c else ZERO
+        n = [0] * 8
+        n[j], n[k] = c1 * d2, sign * c2 * d1
+        return _reduced(n, d1 * d2)
     if d1 == d2:
         n = tuple(map(add if sign > 0 else sub, n1, n2))
         return AlgNum._make(n, 1) if d1 == 1 else _reduced(n, d1)
     e = sign * d1
     return _reduced([a * d2 + b * e for a, b in zip(n1, n2)], d1 * d2)
+
+
+def _monomial(k: int, c: int, d: int) -> AlgNum:
+    """The element c/d e_k, c != 0 and d > 0, in lowest terms."""
+    g = gcd(c, d)
+    n = [0] * 8
+    n[k] = c // g
+    return AlgNum._make(tuple(n), d // g)
 
 
 def _reduced(n, d: int) -> AlgNum:

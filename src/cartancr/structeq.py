@@ -141,16 +141,21 @@ class _Sum:
         return self + (-other)
 
     def __mul__(self, other):
-        """The product of two sums, or every coefficient times an AlgNum."""
-        if isinstance(other, AlgNum):
-            if other.is_zero():
-                return type(self)()
-            return self._of({key: coeff * other for key, coeff in self.terms.items()})
-        out = type(self)()
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                out.add(k1 + k2, c1 * c2)
-        return out
+        """The product of two sums; an AlgNum or a constant sum (one term
+        under the empty key) scales the coefficients and keeps the keys."""
+        if not isinstance(other, AlgNum):
+            if self.terms.keys() == {()}:
+                self, other = other, self       # a constant commutes with every sum
+            if other.terms.keys() != {()}:
+                out = type(self)()
+                for k1, c1 in self.terms.items():
+                    for k2, c2 in other.terms.items():
+                        out.add(k1 + k2, c1 * c2)
+                return out
+            other = other.terms[()]
+        elif other.is_zero():
+            return type(self)()
+        return self._of({key: coeff * other for key, coeff in self.terms.items()})
 
     def conj(self):
         """The reality involution: entries by _conj_atom, coefficients by conj."""
@@ -244,7 +249,7 @@ def maurer_cartan_forms() -> dict[int, Form]:
     """d gen^A = -1/2 c^A_{BC} gen^B ^ gen^C = sum over B < C of
     c^A_{CB} gen^B ^ gen^C, from the nonzero cr structure constants.
     A fresh dict on every call, of forms built once and shared by every
-    caller: replace an entry, never change a form in place."""
+    caller, equations included: replace an entry, never change a form in place."""
     return dict(_maurer_cartan_forms())
 
 
@@ -327,7 +332,9 @@ class ConstraintTable:
 
 
 class Equation:
-    """d gen^A = mc + sum of curvature terms over surviving theta pairs."""
+    """d gen^A = mc + sum of curvature terms over surviving theta pairs.
+    A generated or parsed mc part equal to gen^A's Maurer-Cartan form is
+    the shared form from maurer_cartan_forms."""
 
     __slots__ = ("generator", "mc", "rhs")
 
@@ -364,7 +371,7 @@ def equations_diff(got: list[Equation], want: list[Equation]) -> list[str]:
         if ref is None:
             diffs.append(f"unexpected equation for generator {eq.generator}")
             continue
-        if eq.mc != ref.mc:
+        if eq.mc is not ref.mc and eq.mc != ref.mc:
             diffs += [f"gen {eq.generator}: mc term {pair} differs by {poly.name()}"
                       for pair, poly in sorted((eq.mc - ref.mc).terms.items())]
         if eq.rhs == ref.rhs:
@@ -438,6 +445,12 @@ def equations_from_json(text: str, derive_conjugates: bool = False) -> list[Equa
         # is derived twice
         have = {e.generator for e in eqs}
         eqs += [eq.conjugate() for eq in eqs if CONJ_GEN[eq.generator] not in have]
+    # an mc part equal to the generator's Maurer-Cartan form becomes that
+    # shared form, which equations_diff then compares by identity
+    forms = _maurer_cartan_forms()
+    for eq in eqs:
+        if eq.mc == forms[eq.generator]:
+            eq.mc = forms[eq.generator]
     return sorted(eqs, key=lambda e: e.generator)
 
 

@@ -243,6 +243,44 @@ def test_product_matches_the_radical_table(x, y):
     assert abs(_complex(got) - _complex(x) * _complex(y)) <= tol
 
 
+# monomial coefficients: units, and pairs whose products and sums need a gcd
+_MONOMIAL_COEFFS = (1, -1, 6, Fraction(2, 3), Fraction(-3, 4), Fraction(1, 6))
+
+
+def test_monomial_products_match_the_radical_table():
+    # all 8 x 8 pairs of basis elements 1, sqrt2, sqrt3, sqrt6, i, ..., i*sqrt6
+    for j in range(8):
+        for k in range(8):
+            for p in _MONOMIAL_COEFFS:
+                for q in _MONOMIAL_COEFFS:
+                    x, y = _one_coordinate(j, p), _one_coordinate(k, q)
+                    got = x * y
+                    assert _canonical(got) and not got.is_zero(), (j, k, p, q)
+                    assert _ref(got) == _ref_mul(_ref(x), _ref(y)), (j, k, p, q)
+    # with test_radical_relations (sqrt2 sqrt6 = 2 sqrt3, ..., i i = -1):
+    # sqrt6/6 * sqrt6/6 = 6/36 is stored reduced, as 1/6
+    got = AlgNum.sqrt6(Fraction(1, 6)) * AlgNum.sqrt6(Fraction(1, 6))
+    assert (got._n, got._d) == ((1, 0, 0, 0, 0, 0, 0, 0), 6)
+
+
+def test_monomial_sums_match_the_fraction_reference():
+    # over the same radical, p = q cancels in x - y and p = -q in x + y, and
+    # 1/6 + 1/6 = 1/3 needs a gcd; other radicals give two coordinates
+    for j in range(8):
+        for k in range(8):
+            for p in _MONOMIAL_COEFFS:
+                for q in _MONOMIAL_COEFFS + (-6, Fraction(-1, 6)):
+                    x, y = _one_coordinate(j, p), _one_coordinate(k, q)
+                    rx, ry = _ref(x), _ref(y)
+                    for got, want in ((x + y, tuple(a + b for a, b in zip(rx, ry))),
+                                      (x - y, tuple(a - b for a, b in zip(rx, ry)))):
+                        assert _canonical(got) and _ref(got) == want, (j, k, p, q)
+    got = AlgNum.sqrt2(Fraction(1, 6)) + AlgNum.sqrt2(Fraction(1, 6))
+    assert (got._n, got._d) == ((0, 1, 0, 0, 0, 0, 0, 0), 3)
+    zero = SQRT2 - SQRT2
+    assert (zero._n, zero._d) == ((0,) * 8, 1)
+
+
 @given(shaped, shaped)
 # integer sums and differences that cancel to zero
 @example(AlgNum((3, -1, 0, 2), (0, 0, 5, 0)), AlgNum((-3, 1, 0, -2), (0, 0, -5, 0)))

@@ -17,7 +17,7 @@ from cartancr.structeq import (CONJ_GEN, GENERATOR_LATEX, GENERATOR_NAMES,
                                equations_to_json, equations_to_latex,
                                generate_structure_equations, load_constraints,
                                maurer_cartan_forms, verify_iz_change_of_frame)
-from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF, algnum_latex
+from cartancr.numfield import AlgNum, ZERO, ONE, I, HALF, SQRT2, algnum_latex
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -285,6 +285,21 @@ def test_equations_diff_reports_each_kind_of_difference():
     assert equations_diff(got, short) == [f"gen 7: extra term at {pair}"]
 
 
+def test_parsed_maurer_cartan_parts_are_the_shared_forms():
+    shared = maurer_cartan_forms()
+    # the fixture stores six equations; the four derived conjugates share too
+    assert all(eq.mc is shared[eq.generator] for eq in _load_reference())
+    got = generate_structure_equations(_load_table())
+    back = equations_from_json(equations_to_json(got))
+    assert all(eq.mc is shared[eq.generator] for eq in back)
+    # a perturbed mc part stays its own form, and the diff reports it as before
+    mc = got[3].mc + Form({(1, 7): PolyCoeff.const(ONE)})
+    back = equations_from_json(equations_to_json(_with(got, 3, mc=mc)))
+    assert back[3].mc is not shared[3] and back[3].mc == mc
+    assert all(eq.mc is shared[eq.generator] for eq in back if eq.generator != 3)
+    assert equations_diff(got, back) == ["gen 3: mc term (1, 7) differs by (-1)"]
+
+
 def test_equations_diff_reports_an_unexpected_and_a_missing_generator():
     got = generate_structure_equations(_load_table())
     assert equations_diff(got, got[:9]) == ["unexpected equation for generator 9"]
@@ -359,6 +374,11 @@ def test_algnum_latex():
         r"i\left(2\sqrt{2}-\frac{1}{2}\sqrt{3}\right)"
     assert algnum_latex(ONE + I * (AlgNum.sqrt2(3) + AlgNum.sqrt6(-2))) == \
         r"1+i\left(3\sqrt{2}-2\sqrt{6}\right)"
+    # a unit coefficient before a radical is not printed
+    assert algnum_latex(SQRT2) == r"\sqrt{2}"
+    assert algnum_latex(-SQRT2) == r"-\sqrt{2}"
+    assert algnum_latex(I * (SQRT2 + AlgNum.sqrt3())) == r"i\left(\sqrt{2}+\sqrt{3}\right)"
+    assert algnum_latex(ONE - AlgNum.sqrt6()) == r"1-\sqrt{6}"
 
 
 def test_equations_latex_fragments():
