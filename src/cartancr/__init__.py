@@ -4,10 +4,10 @@ girdled CR structures in dimension five.
 The submodules layer bottom-up: `numfield` (the coefficient field
 Q(i, sqrt2, sqrt3)), `linalg` (exact sparse linear algebra), `liealg`
 (bases, brackets, grading, Killing form), `cohomology` (codifferential
-kernels and the torsion complement), `structeq` (symbolic coframe
-structure equations and the frame-change check), `model` (the projective
-hypersurface and the tube over the light cone), `cli` (verification
-suites and artifact emission).
+kernels and the torsion complement), `forms` (the coframe's exterior
+algebra), `structeq` (the structure equations and the frame-change
+check), `model` (the projective hypersurface and the tube over the light
+cone), `cli` (verification suites and artifact emission).
 
 Importing the package loads none of them: each name below is imported
 from its home submodule on first use.
@@ -19,6 +19,7 @@ _HOMES = {
     "build_basis": "liealg",
     "codifferential_kernel": "cohomology",
     "cohomology": "cohomology",
+    "forms": "forms",
     "generate_structure_equations": "structeq",
     "grading_decomposition": "liealg",
     "killing_matrix": "liealg",

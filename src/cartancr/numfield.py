@@ -20,10 +20,9 @@ result.  They dispatch in this order:
      negative;
   3. two monomials (one nonzero coordinate each) multiply by the table
      _MONO, and add in their one coordinate when it is the same: two
-     integer products and one two-argument gcd (in two coordinates
-     otherwise, with no pass over all eight);
-  4. a product with a rational factor scales the other factor's eight
-     numerators (8 integer products, not 64), then one gcd reduction;
+     integer products and one two-argument gcd;
+  4. a product with a rational right factor scales the left factor's
+     eight numerators (8 integer products, not 64), then one gcd reduction;
   5. a sum or difference over one denominator adds the numerators, then
      one gcd reduction, or none when that denominator is 1;
   6. anything else is the full formula (64 products, or a cross-multiplied
@@ -90,16 +89,6 @@ class AlgNum:
         _set_n(self, tuple([x.numerator * (d // x.denominator) for x in coords]))
         _set_d(self, d)
 
-    @staticmethod
-    def _make(n: tuple, d: int) -> "AlgNum":
-        """Trusted constructor for the ring operations: `n` must be an
-        8-tuple of int and `d` > 0 with gcd(d, *n) == 1; both are stored
-        as they are."""
-        x = _new(AlgNum)
-        _set_n(x, n)
-        _set_d(x, d)
-        return x
-
     def __setattr__(self, name, value):
         raise AttributeError("AlgNum is immutable")
 
@@ -121,7 +110,7 @@ class AlgNum:
     def of(q: Rat) -> "AlgNum":
         # the numerator of a bool is the int 0 or 1
         if isinstance(q, (int, Fraction)):
-            return AlgNum._make((q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator)
+            return _make((q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator)
         return AlgNum((q, 0, 0, 0))     # raises the constructor's TypeError
 
     @staticmethod
@@ -163,7 +152,7 @@ class AlgNum:
     __radd__ = __add__
 
     def __neg__(self) -> "AlgNum":
-        return AlgNum._make(tuple(map(neg, self._n)), self._d)
+        return _make(tuple(map(neg, self._n)), self._d)
 
     def __sub__(self, other) -> "AlgNum":
         if type(other) is not AlgNum:
@@ -188,11 +177,9 @@ class AlgNum:
             x, y = sum(a), sum(b)
             m, f = _MONO[a.index(x)][b.index(y)]
             return _monomial(m, x * y * f, self._d * other._d)
-        # a rational factor scales the other factor's numerators
+        # a rational right factor scales the left factor's numerators
         if not (r1 or r2 or r3 or s0 or s1 or s2 or s3):
             return _reduced([r0 * c for c in a], self._d * other._d)
-        if not (p1 or p2 or p3 or q0 or q1 or q2 or q3):
-            return _reduced([p0 * c for c in b], self._d * other._d)
         # (p + i q)(r + i s) over (1, sqrt2, sqrt3, sqrt6), with
         # sqrt2 sqrt3 = sqrt6, sqrt2 sqrt6 = 2 sqrt3, sqrt3 sqrt6 = 3 sqrt2
         return _reduced((
@@ -219,7 +206,7 @@ class AlgNum:
     def conj(self) -> "AlgNum":
         """Complex conjugation (negates the imaginary coordinates)."""
         n = self._n
-        return AlgNum._make(n[:4] + tuple(map(neg, n[4:])), self._d)
+        return _make(n[:4] + tuple(map(neg, n[4:])), self._d)
 
     def real_part(self) -> "AlgNum":
         """Re x = (x + conj x)/2 as an AlgNum; `re` gives its four Fractions."""
@@ -262,7 +249,7 @@ class AlgNum:
         # embedding, so the norm p/q is positive and 1/(p/q) = q/p is in
         # lowest terms with a positive denominator
         p, q = cur._n[0], cur._d
-        return num * AlgNum._make((q, 0, 0, 0, 0, 0, 0, 0), p)
+        return num * _make((q, 0, 0, 0, 0, 0, 0, 0), p)
 
     def __truediv__(self, other) -> "AlgNum":
         if type(other) is not AlgNum:
@@ -356,6 +343,16 @@ _set_n = AlgNum._n.__set__
 _set_d = AlgNum._d.__set__
 
 
+def _make(n: tuple, d: int) -> AlgNum:
+    """Trusted constructor for the ring operations: `n` must be an
+    8-tuple of int and `d` > 0 with gcd(d, *n) == 1; both are stored
+    as they are."""
+    x = _new(AlgNum)
+    _set_n(x, n)
+    _set_d(x, d)
+    return x
+
+
 def _latex_rat(q: Fraction, lead: bool, rad: str) -> str:
     """q times the radical rad, signed unless it leads; no unit q before a radical."""
     sign = "-" if q < 0 else ("" if lead else "+")
@@ -367,8 +364,9 @@ def _latex_rat(q: Fraction, lead: bool, rad: str) -> str:
 
 
 def algnum_latex(x: AlgNum) -> str:
-    """Render an exact scalar; pure rationals and pure imaginary rationals
-    get the compact forms used in the displayed equations."""
+    """Render an exact scalar; an imaginary part of one term gets the compact
+    forms of the displayed equations (a fraction over i, or i before one
+    radical), and one of several terms is bracketed after the i."""
     if x.is_zero():
         return "0"
     parts = []
@@ -377,21 +375,17 @@ def algnum_latex(x: AlgNum) -> str:
         if q:
             parts.append(_latex_rat(q, not parts, rad))
     im = [(q, rad) for q, rad in zip(x.im, radicals) if q]
-    if im:
-        if len(im) == 1 and not im[0][1]:
-            q = im[0][0]
-            sign = "-" if q < 0 else ("" if not parts else "+")
-            q = abs(q)
-            if q == 1:
-                parts.append(sign + "i")
-            elif q.denominator == 1:
-                parts.append(f"{sign}{q.numerator}i")
-            else:
-                num = "" if q.numerator == 1 else str(q.numerator)
-                parts.append(sign + f"\\frac{{{num}i}}{{{q.denominator}}}")
-        else:
-            inner = "".join(_latex_rat(q, not k, rad) for k, (q, rad) in enumerate(im))
-            parts.append(("+" if parts else "") + f"i\\left({inner}\\right)")
+    if len(im) == 1 and (im[0][1] or im[0][0].denominator == 1):
+        parts.append(_latex_rat(im[0][0], not parts, "i" + im[0][1]))
+    elif len(im) == 1:
+        # a rational fraction takes the i into its numerator
+        q = im[0][0]
+        sign = "-" if q < 0 else ("" if not parts else "+")
+        num = "" if abs(q.numerator) == 1 else str(abs(q.numerator))
+        parts.append(sign + f"\\frac{{{num}i}}{{{q.denominator}}}")
+    elif im:
+        inner = "".join(_latex_rat(q, not k, rad) for k, (q, rad) in enumerate(im))
+        parts.append(("+" if parts else "") + f"i\\left({inner}\\right)")
     return "".join(parts) or "0"
 
 
@@ -423,7 +417,7 @@ def _surd_sign(p: int, q: int, norm: int) -> int:
 
 def _combine(x: AlgNum, y: AlgNum, sign: int) -> AlgNum:
     """x + sign * y for sign +1 or -1.  A zero operand costs no arithmetic;
-    two monomials add in their one or two coordinates; over one denominator
+    two monomials in the same coordinate add in it; over one denominator
     the numerators add, with no gcd when it is 1 (the sum of integers is in
     lowest terms); anything else is one cross-multiplied sum."""
     n2 = y._n
@@ -436,16 +430,13 @@ def _combine(x: AlgNum, y: AlgNum, sign: int) -> AlgNum:
     # as in __mul__, a dense operand skips the counts
     if not (n1[0] and n1[1]) and n1.count(0) == 7 and n2.count(0) == 7:
         c1, c2 = sum(n1), sum(n2)
-        j, k = n1.index(c1), n2.index(c2)
-        if j == k:
+        k = n2.index(c2)
+        if n1.index(c1) == k:
             c = c1 * d2 + sign * c2 * d1
             return _monomial(k, c, d1 * d2) if c else ZERO
-        n = [0] * 8
-        n[j], n[k] = c1 * d2, sign * c2 * d1
-        return _reduced(n, d1 * d2)
     if d1 == d2:
         n = tuple(map(add if sign > 0 else sub, n1, n2))
-        return AlgNum._make(n, 1) if d1 == 1 else _reduced(n, d1)
+        return _make(n, 1) if d1 == 1 else _reduced(n, d1)
     e = sign * d1
     return _reduced([a * d2 + b * e for a, b in zip(n1, n2)], d1 * d2)
 
@@ -455,7 +446,7 @@ def _monomial(k: int, c: int, d: int) -> AlgNum:
     g = gcd(c, d)
     n = [0] * 8
     n[k] = c // g
-    return AlgNum._make(tuple(n), d // g)
+    return _make(tuple(n), d // g)
 
 
 def _reduced(n, d: int) -> AlgNum:
@@ -463,19 +454,19 @@ def _reduced(n, d: int) -> AlgNum:
     all nine integers)."""
     g = gcd(d, *n)
     if g != 1:
-        return AlgNum._make(tuple([c // g for c in n]), d // g)
-    return AlgNum._make(tuple(n), d)
+        return _make(tuple([c // g for c in n]), d // g)
+    return _make(tuple(n), d)
 
 
 def _flip_r2(x: AlgNum) -> AlgNum:
     # sqrt2 -> -sqrt2 also flips sqrt6 = sqrt2*sqrt3
     n = x._n
-    return AlgNum._make((n[0], -n[1], n[2], -n[3], n[4], -n[5], n[6], -n[7]), x._d)
+    return _make((n[0], -n[1], n[2], -n[3], n[4], -n[5], n[6], -n[7]), x._d)
 
 
 def _flip_r3(x: AlgNum) -> AlgNum:
     n = x._n
-    return AlgNum._make((n[0], n[1], -n[2], -n[3], n[4], n[5], -n[6], -n[7]), x._d)
+    return _make((n[0], n[1], -n[2], -n[3], n[4], n[5], -n[6], -n[7]), x._d)
 
 
 # convenient module-level constants

@@ -9,8 +9,9 @@ Each structure equation reads  d gen^A = (Maurer-Cartan part) + sum of
 curvature terms S^A_{BC} gen^B ^ gen^C over pairs B < C of the five theta
 generators, S = T for theta equations and S = R for omega equations.
 A ConstraintTable kills or constrains individual (A, (B,C)) slots; the
-table is closed under the reality involution.  Coefficients are
-polynomials in the surviving curvature symbols over the exact field.
+table is closed under the reality involution.  The forms and their
+polynomial coefficients come from `forms`; this module adds the table,
+the equations, their JSON and LaTeX, and the IZ frame change.
 """
 
 from __future__ import annotations
@@ -20,55 +21,15 @@ from fractions import Fraction
 from functools import cache
 
 from . import liealg
-from .numfield import AlgNum, ONE, I, HALF, algnum_latex
+from .forms import CONJ_GEN, UPPER_LABELS, Form, PolyCoeff, conj_slot, symbol_name
+from .numfield import AlgNum, I, HALF, algnum_latex
 
-# the coframe is dual to the cr basis, so gen^k carries the label of the
-# k-th cr vector; the five theta labels double as the lower-index labels
-UPPER_LABELS = tuple(name[2:] for name in liealg.CR_NAMES)
 GENERATOR_NAMES = tuple(("th_" if k < 5 else "om_") + label
                         for k, label in enumerate(UPPER_LABELS))
 GENERATOR_LATEX = tuple((r"\vartheta^{" if k < 5 else r"\omega^{") + label + "}"
                         for k, label in enumerate(UPPER_LABELS))
 
-# the reality involution on generators
-CONJ_GEN = liealg.CR_CONJ
-
 THETA_PAIRS = tuple((b, c) for b in range(5) for c in range(b + 1, 5))
-
-
-def _wedge_sign(gens: tuple):
-    """gen^{g_0} ^ gen^{g_1} ^ ... = sign * (the same wedge in sorted order),
-    as (sign, sorted index tuple); sign is 0 when a generator repeats."""
-    sign = 1
-    for k, a in enumerate(gens):
-        for b in gens[k + 1:]:
-            if a == b:
-                return 0, tuple(sorted(gens))
-            if a > b:
-                sign = -sign
-    return sign, tuple(sorted(gens))
-
-
-def _conj_pair(i: int, j: int):
-    """conj(gen^i ^ gen^j) = sign * gen^b ^ gen^c with b < c, as (sign, (b, c))."""
-    return _wedge_sign((CONJ_GEN[i], CONJ_GEN[j]))
-
-
-def _conj_slot(slot):
-    """conj(S^A_{BC}) = sign * S^{A~}_{B~C~} on slot keys (A, (B, C)),
-    as (sign, conjugate slot)."""
-    upper, pair = slot
-    sign, pair = _conj_pair(*pair)
-    return sign, (CONJ_GEN[upper], pair)
-
-
-def _accumulate(terms: dict, key, value):
-    """terms[key] += value in a sparse sum: a key whose sum is zero is dropped."""
-    s = terms[key] + value if key in terms else value
-    if s.is_zero():
-        terms.pop(key, None)
-    else:
-        terms[key] = s
 
 
 def _is_index(x, n: int) -> bool:
@@ -83,166 +44,6 @@ def symbol_key(upper, pair):
             and _is_index(c, 5) and b < c):
         raise ValueError(f"bad curvature slot ({upper!r}, {pair!r})")
     return upper, (b, c)
-
-
-def symbol_name(key, latex: bool = False) -> str:
-    """T^{A}_{B,C} for a theta equation A, R^{A}_{B,C} for an omega one; the
-    LaTeX form separates the legs with a thin space instead of a comma."""
-    upper, (b, c) = key
-    kind = "T" if upper <= 4 else "R"
-    sep = r"\," if latex else ","
-    return (f"{kind}^{{{UPPER_LABELS[upper]}}}"
-            f"_{{{UPPER_LABELS[b]}{sep}{UPPER_LABELS[c]}}}")
-
-
-class _Sum:
-    """A sparse sum {canonical key tuple: nonzero coefficient}: the arithmetic
-    PolyCoeff and Form share.  A subclass gives _order(key) -> (sign,
-    canonical key), sign 0 when the term vanishes, and _conj_atom(entry) ->
-    (sign, conjugate entry).  add, which the constructor calls on every
-    term, is the one place a key is put in order."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for key, coeff in (terms or {}).items():
-            self.add(key, coeff)
-
-    @classmethod
-    def _of(cls, terms: dict):
-        """Trusted constructor: keys already canonical, coefficients nonzero."""
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
-
-    def add(self, key: tuple, coeff, sign: int = 1):
-        """self += sign * coeff * (the product of the entries of key)."""
-        s, key = self._order(key)
-        if s and not coeff.is_zero():
-            _accumulate(self.terms, key, coeff if s == sign else -coeff)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, type(self)) and self.terms == other.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accumulate(terms, key, coeff)
-        return self._of(terms)
-
-    def __neg__(self):
-        return self._of({key: -coeff for key, coeff in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """The product of two sums; an AlgNum or a constant sum (one term
-        under the empty key) scales the coefficients and keeps the keys."""
-        if not isinstance(other, AlgNum):
-            if self.terms.keys() == {()}:
-                self, other = other, self       # a constant commutes with every sum
-            if other.terms.keys() != {()}:
-                out = type(self)()
-                for k1, c1 in self.terms.items():
-                    for k2, c2 in other.terms.items():
-                        out.add(k1 + k2, c1 * c2)
-                return out
-            other = other.terms[()]
-        elif other.is_zero():
-            return type(self)()
-        return self._of({key: coeff * other for key, coeff in self.terms.items()})
-
-    def conj(self):
-        """The reality involution: entries by _conj_atom, coefficients by conj."""
-        out = type(self)()
-        for key, coeff in self.terms.items():
-            sign, atoms = 1, []
-            for atom in key:
-                s, atom = self._conj_atom(atom)
-                sign *= s
-                atoms.append(atom)
-            out.add(tuple(atoms), coeff.conj(), sign)
-        return out
-
-
-class PolyCoeff(_Sum):
-    """Polynomial in curvature symbols with AlgNum coefficients.
-
-    terms: {tuple of symbol keys (sorted): AlgNum}; the empty tuple holds
-    the constant part.  Symbols commute.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _order(mono: tuple):
-        return 1, tuple(sorted(mono))
-
-    _conj_atom = staticmethod(_conj_slot)
-
-    @staticmethod
-    def const(value) -> "PolyCoeff":
-        v = value if isinstance(value, AlgNum) else AlgNum.of(value)
-        return PolyCoeff._of({} if v.is_zero() else {(): v})
-
-    @staticmethod
-    def symbol(key, coeff=ONE) -> "PolyCoeff":
-        return PolyCoeff({(key,): coeff})
-
-    __rmul__ = _Sum.__mul__
-
-    def name(self) -> str:
-        return " + ".join(f"({c.serialize()})" + "".join("*" + symbol_name(k) for k in mono)
-                          for mono, c in sorted(self.terms.items())) or "0"
-
-    def __repr__(self):
-        return f"PolyCoeff({self.name()})"
-
-
-class Form(_Sum):
-    """Exact symbolic exterior form of any degree: {sorted generator tuple:
-    PolyCoeff} over coframe indices plus any formal extra generators.
-    A repeated generator makes a term vanish."""
-
-    __slots__ = ()
-
-    _order = staticmethod(_wedge_sign)
-
-    @staticmethod
-    def _conj_atom(gen: int):
-        return 1, CONJ_GEN[gen]
-
-    wedge = _Sum.__mul__
-
-    def d(self, rules: dict) -> "Form":
-        """d(f gen^{g_0} ^ ... ^ gen^{g_k}) = df ^ gen^{g_0} ^ ... ^ gen^{g_k}
-            + f * sum_m (-1)^m gen^{g_0} ^ ... ^ d gen^{g_m} ^ ... ^ gen^{g_k}.
-
-        rules[g] is d gen^g as a 2-form for every generator used; a missing
-        rule raises KeyError.  rules[S] is dS as a 1-form for a curvature
-        symbol key S; a symbol with no entry is closed.
-        """
-        out = Form()
-        for gens, poly in self.terms.items():
-            for mono, coeff in poly.terms.items():
-                for pos, key in enumerate(mono):
-                    if key in rules:
-                        rest = PolyCoeff._of({mono[:pos] + mono[pos + 1:]: coeff})
-                        for g, q in rules[key].terms.items():
-                            out.add(g + gens, rest * q)
-            for m, g in enumerate(gens):
-                for pair, q in rules[g].terms.items():
-                    out.add(gens[:m] + pair + gens[m + 1:], poly * q, (-1) ** m)
-        return out
-
-    def name(self) -> str:
-        return " + ".join(f"[{poly.name()}] " + "^".join(f"g{g}" for g in gens)
-                          for gens, poly in sorted(self.terms.items())) or "0"
 
 
 def maurer_cartan_forms() -> dict[int, Form]:
@@ -304,7 +105,7 @@ class ConstraintTable:
             if provenance not in tags:
                 tags = tags + [provenance]
         self.entries[slot] = {"kind": kind, "provenance": tags, "primal": None, "rhs": rhs}
-        sign, mate = _conj_slot(slot)
+        sign, mate = conj_slot(slot)
         if mate != slot and mate not in self.entries:
             if rhs is not None:
                 rhs = rhs.conj() if sign > 0 else -rhs.conj()
@@ -325,7 +126,7 @@ class ConstraintTable:
         out = ConstraintTable()
         out.entries = dict(self.entries)
         del out.entries[primal_slot]
-        mate = _conj_slot(symbol_key(*primal_slot))[1]
+        mate = conj_slot(symbol_key(*primal_slot))[1]
         if mate in out.entries and out.entries[mate]["primal"] == primal_slot:
             del out.entries[mate]
         return out
@@ -344,7 +145,7 @@ class Equation:
         self.rhs = rhs        # {(b, c): constrained flag}
 
     def conjugate(self) -> "Equation":
-        rhs = {_conj_pair(*pair)[1]: flag for pair, flag in self.rhs.items()}
+        rhs = {conj_slot((self.generator, p))[1][1]: flag for p, flag in self.rhs.items()}
         return Equation(CONJ_GEN[self.generator], self.mc.conj(), rhs)
 
 
@@ -610,7 +411,7 @@ def verify_iz_change_of_frame(include_torsion: bool = True) -> dict:
     """
     t = PolyCoeff.symbol(T_SYMBOL)
     s = PolyCoeff.symbol(S_SYMBOL)
-    _, tbar_key = _conj_slot(T_SYMBOL)
+    _, tbar_key = conj_slot(T_SYMBOL)
     tbar = PolyCoeff.symbol(tbar_key)
 
     rules = maurer_cartan_forms()

@@ -1,9 +1,9 @@
 """A cold process loads only what it runs: `import cartancr` loads no
 submodule, each public name is imported from its home on first use, an
 --emit process loads neither cohomology nor model, a bases or killing-matrix
-emit loads no structeq, and the killing suite no cohomology.  Every test
-starts a fresh interpreter, since this process has long since loaded the
-package."""
+emit neither structeq nor forms, `import cartancr.forms` none of the
+modules above it, and the killing suite no cohomology.  Every test starts a
+fresh interpreter, since this process has long since loaded the package."""
 
 import json
 import os
@@ -73,7 +73,13 @@ def test_matrix_emits_load_no_structeq(kind, fmt):
     # a matrix entry is printed by numfield alone
     loaded = _cli_modules("--emit", kind, "--format", fmt)
     assert "cartancr.numfield" in loaded
-    assert "cartancr.structeq" not in loaded
+    assert not loaded & {"cartancr.structeq", "cartancr.forms"}
+
+
+def test_forms_loads_none_of_the_modules_built_on_it():
+    loaded = _report(f"import sys, json, cartancr.forms; print(json.dumps({_LOADED}))")
+    assert loaded == ["cartancr.forms", "cartancr.liealg", "cartancr.linalg",
+                      "cartancr.numfield"]
 
 
 def test_killing_suite_loads_no_cohomology():
@@ -98,10 +104,10 @@ def test_every_public_name_resolves_to_its_home_object():
         "    else:\n"
         "        out[name] = [obj.__module__, getattr(sys.modules[obj.__module__], name) is obj]\n"
         "print(json.dumps(out))")
-    assert len(homes) == 14
+    assert len(homes) == 15
     assert all(home.startswith("cartancr.") and ok for home, ok in homes.values()), homes
     assert {n for n, (home, _) in homes.items() if home == f"cartancr.{n}"} == {
-        "cohomology", "liealg", "linalg", "model", "structeq"}
+        "cohomology", "forms", "liealg", "linalg", "model", "structeq"}
 
 
 def test_star_import_binds_all_of_all():

@@ -2,8 +2,9 @@
 every private definition in the package is used somewhere in it, every
 public one, public methods included, by the package, a demo, the
 benchmark or the contract tests, no module of the package reads another
-module's private name or holds a float, and the test extra installs every
-package the tests import."""
+module's private name or holds a float, the modules import one another
+only down the pinned layering, and the test extra installs every package
+the tests import."""
 
 import ast
 import re
@@ -202,6 +203,52 @@ def test_no_module_reads_another_modules_private_name():
     assert len(files) > 5
     reads = {p.name: _foreign_private_reads(p.read_text()) for p in files}
     assert {name: r for name, r in reads.items() if r} == {}
+
+
+def _package_imports(source: str) -> set[str]:
+    """Package modules a package source imports, function-level imports
+    included: x for `from . import x` and `from .x import name`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                found.update(a.name for a in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_package_import_guard_sees_function_level_imports():
+    src = ("from __future__ import annotations\n"
+           "import json\n"
+           "from . import liealg, linalg as la\n"
+           "from .numfield import ZERO\n"
+           "from .forms.sub import x\n"
+           "def f():\n"
+           "    from . import structeq\n"
+           "    return structeq\n")
+    assert _package_imports(src) == {"forms", "liealg", "linalg", "numfield", "structeq"}
+
+
+# the layering, bottom-up: each module imports only the modules below it,
+# so the exterior algebra (forms) never reads the equations built on it
+_LAYERS = {
+    "__init__": set(),
+    "numfield": set(),
+    "linalg": {"numfield"},
+    "liealg": {"linalg", "numfield"},
+    "forms": {"liealg", "numfield"},
+    "cohomology": {"liealg", "linalg", "numfield"},
+    "model": {"liealg", "linalg", "numfield"},
+    "structeq": {"forms", "liealg", "numfield"},
+    "cli": {"cohomology", "liealg", "linalg", "model", "numfield", "structeq"},
+}
+
+
+def test_package_modules_import_only_the_layers_below():
+    graph = {p.stem: _package_imports(p.read_text())
+             for p in sorted((ROOT / "src/cartancr").glob("*.py"))}
+    assert graph == _LAYERS
 
 
 def test_test_extra_lists_every_third_party_test_import():

@@ -1,4 +1,4 @@
-"""Symbolic structure equations, constraints, serialization, frame change."""
+"""Symbolic forms, structure equations, constraints, serialization, frame change."""
 
 import json
 import re
@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cartancr import cli
-from cartancr.structeq import (CONJ_GEN, GENERATOR_LATEX, GENERATOR_NAMES,
+from cartancr.forms import CONJ_GEN, Form, PolyCoeff, conj_slot
+from cartancr.structeq import (GENERATOR_LATEX, GENERATOR_NAMES,
                                S_SYMBOL, T_SYMBOL, THETA_PAIRS, ConstraintTable,
-                               Equation, Form, PolyCoeff, _conj_slot, _term_latex,
+                               Equation, _term_latex,
                                constraints_to_json, constraints_to_latex,
                                equations_diff, equations_from_json,
                                equations_to_json, equations_to_latex,
@@ -128,11 +129,11 @@ def test_polycoeff_and_form_share_one_sparse_sum_implementation():
 
 
 def test_curvature_symbol_conjugation():
-    assert _conj_slot(T_SYMBOL) == (1, (2, (0, 4)))
+    assert conj_slot(T_SYMBOL) == (1, (2, (0, 4)))
     # conjugating legs (1, 2) swaps them, picking up a sign
-    sign, key = _conj_slot((5, (1, 2)))
+    sign, key = conj_slot((5, (1, 2)))
     assert sign == -1 and key == (6, (1, 2))
-    assert _conj_slot(key) == (-1, (5, (1, 2)))
+    assert conj_slot(key) == (-1, (5, (1, 2)))
 
 
 def test_polycoeff_conjugation_involution():
@@ -379,6 +380,11 @@ def test_algnum_latex():
     assert algnum_latex(-SQRT2) == r"-\sqrt{2}"
     assert algnum_latex(I * (SQRT2 + AlgNum.sqrt3())) == r"i\left(\sqrt{2}+\sqrt{3}\right)"
     assert algnum_latex(ONE - AlgNum.sqrt6()) == r"1-\sqrt{6}"
+    # an imaginary part of one radical term is i before the radical, unbracketed
+    assert algnum_latex(I * SQRT2) == r"i\sqrt{2}"
+    assert algnum_latex(I * AlgNum.sqrt3(Fraction(-1, 6))) == r"-\frac{1}{6}i\sqrt{3}"
+    assert algnum_latex(ONE + I * SQRT2) == r"1+i\sqrt{2}"
+    assert algnum_latex(SQRT2 + I * AlgNum.sqrt6(2)) == r"\sqrt{2}+2i\sqrt{6}"
 
 
 def test_equations_latex_fragments():
@@ -412,7 +418,7 @@ def test_frame_change_negative_control():
     assert ctrl["residual_12"].terms == expected
 
 
-_TBAR = _conj_slot(T_SYMBOL)[1]
+_TBAR = conj_slot(T_SYMBOL)[1]
 # polynomials in the conjugate torsion symbol with small complex coefficients
 _TBAR_POLYS = st.lists(st.builds(AlgNum.from_complex_rat, st.integers(-3, 3),
                                  st.integers(-3, 3)), max_size=3).map(
